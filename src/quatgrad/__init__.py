@@ -3,9 +3,10 @@
 The package provides exact quaternion arithmetic with involutions and
 polar form, the left and right restricted HR gradient operators with their
 product and chain rules, forward-mode jets for composing real gradients,
-closed-form derivatives of power-series (regular) functions, a
-finite-difference verification oracle, and a QLMS adaptive filter with a
-system-identification harness.
+closed-form derivatives of power-series (regular) functions, the full real
+gradient of exp, ln, tanh and (q - c)^n through their intrinsic complex
+lift, a finite-difference verification oracle, and a QLMS adaptive filter
+with a system-identification harness.
 """
 
 from .errors import (DomainError, InconsistentQuadruple, LengthMismatch,
@@ -30,9 +31,10 @@ from .quaternion import (AxisUnit, IMAGINARY_AXES, ONE, PolarForm, QI, QJ, QK,
                          Quaternion, ZERO, components_from_involutions,
                          exp_q, isclose, ln_q, polar, tanh_q)
 from .regular import (Elementary, PowerSeriesFn, exp_derivative, exp_series,
-                      ln_derivative, ln_real_gradient, power_derivative,
-                      power_derivative_oracle, real_axis_limit_check,
-                      symmetric_ratio, tanh_derivative, tanh_series)
+                      intrinsic_gradient, ln_derivative, ln_real_gradient,
+                      power_derivative, power_derivative_oracle,
+                      real_axis_limit_check, symmetric_ratio, tanh_derivative,
+                      tanh_series)
 
 __version__ = "0.1.0"
 

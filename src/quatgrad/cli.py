@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse error (arguments, quaternion strings,
-config files), 2 domain error, 3 validation-suite failure, 4 divergent
-QLMS run.
+config files), 2 domain error (including results beyond the float range),
+3 validation-suite failure, 4 divergent QLMS run.
 """
 
 import argparse
@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from . import qlms, validate
-from .errors import DomainError
 from .hr import Side, left_from_real, right_from_real
 from .quaternion import Quaternion
 from .regular import Elementary
@@ -90,10 +89,10 @@ def _cmd_eval_grad(args) -> int:
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     try:
         grad = fn.real_gradient(point)
-    except (DomainError, ZeroDivisionError) as exc:
+        h = left_from_real(grad) if side is Side.LEFT else right_from_real(grad)
+    except (ArithmeticError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    h = left_from_real(grad) if side is Side.LEFT else right_from_real(grad)
     print(f"side: {h.side.value}")
     for label, value in zip(("d1", "dI", "dJ", "dK"), h.as_tuple()):
         print(f"{label}: {value}")

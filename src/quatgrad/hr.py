@@ -86,54 +86,52 @@ def _require_side(h: HRGradient, side: Side, what: str) -> None:
 # Conversions between real and HR gradients
 # ---------------------------------------------------------------------------
 
-def left_from_real(g: RealGradient) -> HRGradient:
-    """Left restricted HR gradient: units multiply each partial from the right."""
+def _mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
+    """p q for the left operator, q p for the right one."""
+    return p * q if side is Side.LEFT else q * p
+
+
+def _hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     dA, dB, dC, dD = g.as_tuple()
-    bi, cj, dk = dB * QI, dC * QJ, dD * QK
+    bi, cj, dk = _mul(side, dB, QI), _mul(side, dC, QJ), _mul(side, dD, QK)
     return HRGradient(
         (dA - bi - cj - dk) * 0.25,
         (dA - bi + cj + dk) * 0.25,
         (dA + bi - cj + dk) * 0.25,
         (dA + bi + cj - dk) * 0.25,
-        Side.LEFT,
+        side,
     )
+
+
+def left_from_real(g: RealGradient) -> HRGradient:
+    """Left restricted HR gradient: units multiply each partial from the right."""
+    return _hr_from_real(g, Side.LEFT)
 
 
 def right_from_real(g: RealGradient) -> HRGradient:
     """Right restricted HR gradient: units multiply each partial from the left."""
-    dA, dB, dC, dD = g.as_tuple()
-    bi, cj, dk = QI * dB, QJ * dC, QK * dD
-    return HRGradient(
-        (dA - bi - cj - dk) * 0.25,
-        (dA - bi + cj + dk) * 0.25,
-        (dA + bi - cj + dk) * 0.25,
-        (dA + bi + cj - dk) * 0.25,
-        Side.RIGHT,
+    return _hr_from_real(g, Side.RIGHT)
+
+
+def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
+    _require_side(h, side, f"real_from_{side.value}")
+    d1, dI, dJ, dK = h.as_tuple()
+    return RealGradient(
+        d1 + dI + dJ + dK,
+        _mul(side, d1 + dI - dJ - dK, QI),
+        _mul(side, d1 - dI + dJ - dK, QJ),
+        _mul(side, d1 - dI - dJ + dK, QK),
     )
 
 
 def real_from_left(h: HRGradient) -> RealGradient:
     """Invert left_from_real via the identity (grad_q f) J = (1/4) grad_r f."""
-    _require_side(h, Side.LEFT, "real_from_left")
-    d1, dI, dJ, dK = h.as_tuple()
-    return RealGradient(
-        d1 + dI + dJ + dK,
-        (d1 + dI - dJ - dK) * QI,
-        (d1 - dI + dJ - dK) * QJ,
-        (d1 - dI - dJ + dK) * QK,
-    )
+    return _real_from_hr(h, Side.LEFT)
 
 
 def real_from_right(h: HRGradient) -> RealGradient:
     """Inverse of right_from_real; units multiply from the left."""
-    _require_side(h, Side.RIGHT, "real_from_right")
-    d1, dI, dJ, dK = h.as_tuple()
-    return RealGradient(
-        d1 + dI + dJ + dK,
-        QI * (d1 + dI - dJ - dK),
-        QJ * (d1 - dI + dJ - dK),
-        QK * (d1 - dI - dJ + dK),
-    )
+    return _real_from_hr(h, Side.RIGHT)
 
 
 def differential(h: HRGradient, dq: Quaternion) -> Quaternion:
@@ -146,12 +144,8 @@ def differential(h: HRGradient, dq: Quaternion) -> Quaternion:
     steps = (dq, dq.involution(AxisUnit.I), dq.involution(AxisUnit.J),
              dq.involution(AxisUnit.K))
     total = ZERO
-    if h.side is Side.LEFT:
-        for partial, step in zip(h.as_tuple(), steps):
-            total = total + partial * step
-    else:
-        for partial, step in zip(h.as_tuple(), steps):
-            total = total + step * partial
+    for partial, step in zip(h.as_tuple(), steps):
+        total = total + _mul(h.side, partial, step)
     return total
 
 
@@ -415,6 +409,17 @@ def _component(q: Quaternion, idx: int) -> float:
     return (q.a, q.b, q.c, q.d)[idx]
 
 
+def _compose(outer_parts, m: QMatrix, side: Side) -> HRGradient:
+    """Part nu is sum_mu outer_parts[mu] m[mu][nu], multiplied in side order."""
+    parts = []
+    for nu in range(4):
+        acc = ZERO
+        for mu in range(4):
+            acc = acc + _mul(side, outer_parts[mu], m[mu][nu])
+        parts.append(acc)
+    return HRGradient(*parts, side)
+
+
 def chain_rule_first(outer: HRGradient, m: QMatrix) -> HRGradient:
     """Compose: df/dq^nu = sum_mu (df/dg^mu) (dg^mu/dq^nu).
 
@@ -422,34 +427,14 @@ def chain_rule_first(outer: HRGradient, m: QMatrix) -> HRGradient:
     for a right outer gradient from the left ((grad^R_q f)^T = M^T
     (grad^{gR}_q f)^T).
     """
-    outer_parts = outer.as_tuple()
-    parts = []
-    for nu in range(4):
-        acc = ZERO
-        for mu in range(4):
-            if outer.side is Side.LEFT:
-                acc = acc + outer_parts[mu] * m[mu][nu]
-            else:
-                acc = acc + m[mu][nu] * outer_parts[mu]
-        parts.append(acc)
-    return HRGradient(*parts, outer.side)
+    return _compose(outer.as_tuple(), m, outer.side)
 
 
 def chain_rule_second(outer_real: RealGradient, o: QMatrix,
                       side: Side = Side.LEFT) -> HRGradient:
     """Compose through the real components of the intermediate function:
     df/dq^nu = sum_phi (df/dg_phi) (dg_phi/dq^nu)."""
-    outer_parts = outer_real.as_tuple()
-    parts = []
-    for nu in range(4):
-        acc = ZERO
-        for phi in range(4):
-            if side is Side.LEFT:
-                acc = acc + outer_parts[phi] * o[phi][nu]
-            else:
-                acc = acc + o[phi][nu] * outer_parts[phi]
-        parts.append(acc)
-    return HRGradient(*parts, side)
+    return _compose(outer_real.as_tuple(), o, side)
 
 
 def _check_real_valued(h: HRGradient, what: str) -> None:
@@ -472,10 +457,7 @@ def chain_rule_third(dfdg: Quaternion, g_hr: HRGradient) -> HRGradient:
     d^nu = (d1)^nu.
     """
     _check_real_valued(g_hr, "chain_rule_third")
-    if g_hr.side is Side.LEFT:
-        parts = tuple(dfdg * p for p in g_hr.as_tuple())
-    else:
-        parts = tuple(p * dfdg for p in g_hr.as_tuple())
+    parts = tuple(_mul(g_hr.side, dfdg, p) for p in g_hr.as_tuple())
     return HRGradient(*parts, g_hr.side)
 
 

@@ -149,8 +149,9 @@ class Quaternion:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a square past the last bit could overflow needlessly
+                base = base * base
         return result
 
     # -- involutions -----------------------------------------------------

@@ -23,20 +23,22 @@ powers from the left for the left operator and from the right for the
 right operator; the ratio term is central and real, so with real
 coefficients the two sides coincide.  As q approaches the real axis the
 HR derivative tends to the ordinary real derivative.
+
+exp, ln, tanh and (q - q0)^n are intrinsic: each lifts a complex F, real on
+the real axis, to f(q) = Re F(z) + vhat Im F(z) with z = q_a + i v.  Elementary
+takes their full real gradient from F(z) and F'(z) by Cauchy-Riemann
+(intrinsic_gradient); the jets and finite differences are its oracle.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .errors import DomainError, OutsideAnnulus, PoleError
-from .hr import (QJet, RealGradient, Side, jet_exp, jet_pow, jet_seed,
-                 jet_tanh)
-from .quaternion import ZERO, Quaternion, exp_q, ln_q, tanh_q
-
-_TANH_POLE_TOL = 1e-12
+from .errors import DomainError, OutsideAnnulus
+from .hr import QJet, RealGradient, Side
+from .quaternion import ONE, QI, QJ, QK, ZERO, Quaternion, exp_q, ln_q, tanh_q
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -252,55 +254,91 @@ def ln_derivative(q: Quaternion) -> Quaternion:
     return (q.inverse() + Quaternion(theta / v)) * 0.5
 
 
-def _cosh_q(q: Quaternion) -> Quaternion:
-    """cosh q = cosh(q_a) cos(v) + vhat sinh(q_a) sin(v)."""
-    v = q.imag_norm()
-    re = math.cosh(q.a) * math.cos(v)
-    f = math.sinh(q.a) * (math.sin(v) / v if v > 0.0 else 1.0)
-    return Quaternion(re, f * q.b, f * q.c, f * q.d)
-
-
 def tanh_derivative(q: Quaternion) -> Quaternion:
     """d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2.
 
-    The scalar term tends to 2/(cosh 2q_a + 1) = sech^2(q_a) at v = 0.
-    The pole set is that of tanh itself: |cosh q|^2 = sinh^2 q_a + cos^2 v
-    near zero.
+    sech^2 q = 1 - tanh^2 q, and the scalar term tends to
+    2/(cosh 2q_a + 1) = sech^2(q_a) at v = 0.  tanh_q raises PoleError
+    near the zeros of cosh q, so the pole set is that of tanh itself.
     """
+    t = tanh_q(q)
     v = q.imag_norm()
     den2 = math.sinh(q.a) ** 2 + math.cos(v) ** 2  # |cosh q|^2
-    if den2 < _TANH_POLE_TOL:
-        raise PoleError(f"tanh pole: |cosh q|^2 = {den2:.3e} at q = {q}")
-    ch = _cosh_q(q)
-    sech2 = (ch * ch).inverse()
     # cosh(2 q_a) + cos(2 v) == 2 * den2
     ratio = (math.sin(2.0 * v) / v if v > 0.0 else 2.0) / (2.0 * den2)
-    return (sech2 + Quaternion(ratio)) * 0.5
+    return (ONE - t * t + Quaternion(ratio)) * 0.5
+
+
+def intrinsic_gradient(F: Callable[[complex], complex],
+                       dF: Callable[[complex], complex],
+                       q: Quaternion) -> RealGradient:
+    """Real gradient of the lift f(q) = Re F(z) + vhat Im F(z), z = q_a + i v.
+
+    With x = I(q), A = Re F'(z), B = Im F'(z)/v and C = Im F(z)/v,
+    Cauchy-Riemann gives
+
+        df/dq_a = A + x B
+        df/dx_u = -B x_u + C e_u + (x/v) ((A - C) (x_u/v)),
+
+    and at v = 0 the limits F'(q_a) and F'(q_a) e_u.  The grouping keeps
+    every factor bounded as v -> 0, where (A - C)/v^2 would underflow.
+    """
+    v = q.imag_norm()
+    if v == 0.0:
+        d = dF(complex(q.a, 0.0)).real
+        return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
+    z = complex(q.a, v)
+    f, df = F(z), dF(z)
+    a, b, c = df.real, df.imag / v, f.imag / v
+    vhat = Quaternion(0.0, q.b / v, q.c / v, q.d / v)
+    partials = [Quaternion(a, b * q.b, b * q.c, b * q.d)]
+    for x_u, e_u in ((q.b, QI), (q.c, QJ), (q.d, QK)):
+        partials.append(Quaternion(-b * x_u) + e_u * c
+                        + vhat * ((a - c) * (x_u / v)))
+    return RealGradient(*partials)
 
 
 def ln_real_gradient(q: Quaternion) -> RealGradient:
-    """Real gradient of ln at q by inverting the real Jacobian of exp.
+    """Real gradient of the principal ln at q, through the intrinsic lift."""
+    return Elementary.ln().real_gradient(q)
 
-    exp(ln q) = q, so the 4x4 real Jacobian of ln at q is the inverse of
-    the Jacobian of exp at ln q; the latter comes from the machine-exact
-    exp jet.  Column beta of the inverse is the partial d(ln q)/dq_beta.
-    """
-    w = ln_q(q)  # raises DomainError off the principal branch
-    jac = jet_exp(jet_seed(w)).grad
-    p = np.array([[getattr(col, comp) for col in jac.as_tuple()]
-                  for comp in ("a", "b", "c", "d")])
-    p_inv = np.linalg.inv(p)
-    return RealGradient(*(Quaternion(*(float(x) for x in p_inv[:, beta]))
-                          for beta in range(4)))
+
+class _Row(NamedTuple):
+    """Value, closed-form d1, and the F, F' lifted at q - center."""
+
+    value: Callable[[Quaternion], Quaternion]
+    d1: Callable[[Quaternion], Quaternion]
+    F: Callable[[complex], complex]
+    dF: Callable[[complex], complex]
+    center: Quaternion = ZERO
+
+
+def _zpow(z: complex, n: int) -> complex:
+    """z^n, inverted first for n < 0: z ** n is nan once z^-n overflows."""
+    return z ** n if n >= 0 else (1 / z) ** -n
+
+
+_ROWS = {
+    "exp": lambda n, c: _Row(exp_q, exp_derivative, cmath.exp, cmath.exp),
+    "ln": lambda n, c: _Row(ln_q, ln_derivative, cmath.log, lambda z: 1 / z),
+    "tanh": lambda n, c: _Row(tanh_q, tanh_derivative, cmath.tanh,
+                              lambda z: 1 - cmath.tanh(z) ** 2),
+    "power": lambda n, c: _Row(lambda q: (q - c) ** n,
+                               lambda q: power_derivative(q, c, n),
+                               lambda z: _zpow(z, n),
+                               lambda z: n * _zpow(z, n - 1) if n else 0j, c),
+}
 
 
 @dataclass(frozen=True)
 class Elementary:
     """One of the elementary functions exp, ln, tanh or (q - center)^n.
 
-    Bundles the closed-form HR derivative, the plain real derivative on
-    the real axis, the function value, and a jet route to the full real
-    gradient, which is what the CLI and the consistency checks consume.
+    Each kind is one table row: the function value, the closed-form HR
+    derivative, and the complex function whose intrinsic lift gives the
+    full real gradient, which is what the CLI and the consistency checks
+    consume.  Every route starts from value(q), so all share its domain,
+    branch and pole checks.
     """
 
     kind: str
@@ -324,57 +362,34 @@ class Elementary:
         return cls("power", n=n, center=center)
 
     def __post_init__(self):
-        if self.kind not in ("exp", "ln", "tanh", "power"):
+        if self.kind not in _ROWS:
             raise ValueError(f"unknown elementary function {self.kind!r}")
 
+    @property
+    def _row(self) -> _Row:
+        return _ROWS[self.kind](self.n, self.center)
+
     def value(self, q: Quaternion) -> Quaternion:
-        if self.kind == "exp":
-            return exp_q(q)
-        if self.kind == "ln":
-            return ln_q(q)
-        if self.kind == "tanh":
-            return tanh_q(q)
-        return (q - self.center) ** self.n
+        return self._row.value(q)
 
     def hr_derivative(self, q: Quaternion) -> Quaternion:
         """Closed-form d1 slot (identical for the left and right operators)."""
-        if self.kind == "exp":
-            return exp_derivative(q)
-        if self.kind == "ln":
-            return ln_derivative(q)
-        if self.kind == "tanh":
-            return tanh_derivative(q)
-        return power_derivative(q, self.center, self.n)
+        return self._row.d1(q)
 
     def real_derivative(self, x: float) -> float:
         """f'(x) in the ordinary real-calculus sense."""
-        if self.kind == "exp":
-            return math.exp(x)
-        if self.kind == "ln":
-            if x <= 0.0:
-                raise DomainError("real ln derivative needs x > 0")
-            return 1.0 / x
-        if self.kind == "tanh":
-            return 1.0 / math.cosh(x) ** 2
-        if self.center.imag_norm() != 0.0:
+        if self._row.center.imag_norm() != 0.0:
             raise ValueError("real-axis derivative needs a real center")
-        if self.n == 0:
-            return 0.0
-        return self.n * (x - self.center.a) ** (self.n - 1)
+        return self.real_gradient(Quaternion(x)).dA.a
 
     def real_gradient(self, q: Quaternion) -> RealGradient:
-        """Full real gradient; exp/tanh/power via jets, ln via the inverse
-        exp Jacobian."""
-        if self.kind == "exp":
-            return jet_exp(jet_seed(q)).grad
-        if self.kind == "ln":
-            return ln_real_gradient(q)
-        if self.kind == "tanh":
-            return jet_tanh(jet_seed(q)).grad
-        return jet_pow(jet_seed(q) - self.center, self.n).grad
+        """Full real gradient through the intrinsic lift."""
+        return self.jet(q).grad
 
     def jet(self, q: Quaternion) -> QJet:
-        return QJet(self.value(q), self.real_gradient(q))
+        row = self._row
+        return QJet(row.value(q),
+                    intrinsic_gradient(row.F, row.dF, q - row.center))
 
 
 def real_axis_limit_check(fn: Elementary, q_a: float, v_sequence,

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qdist
-from quatgrad import Quaternion, read_record_csv, run_system_identification
+from quatgrad import (Quaternion, ln_derivative, read_record_csv,
+                      run_system_identification)
 from quatgrad.cli import (EXIT_DIVERGED, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE,
                           EXIT_VALIDATION, load_experiment_config, main)
 
@@ -65,6 +71,72 @@ def test_eval_grad_domain_error(capsys):
     assert code == EXIT_DOMAIN
     code, _, err = run_cli(capsys, "eval-grad", "power:-1", "0+0i+0j+0k")
     assert code == EXIT_DOMAIN
+    for function, point in (("exp", "1000+0i+0j+0k"),
+                            ("power:2000", "10+1i+0j+0k")):
+        code, _, err = run_cli(capsys, "eval-grad", function, point)
+        assert code == EXIT_DOMAIN
+        assert "domain error" in err
+
+
+def test_eval_grad_tanh_pole_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "eval-grad", "tanh",
+                             "0+1.5707963267948966i+0j+0k")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "pole" in err
+
+
+def test_eval_grad_ln_next_to_branch_cut(capsys):
+    code, out, _ = run_cli(capsys, "eval-grad", "ln", "--", "-1+1e-300i+0j+0k")
+    assert code == EXIT_OK
+    _, grads = parse_gradient_output(out)
+    parts = [x for g in grads.values() for x in (g.a, g.b, g.c, g.d)]
+    assert len(parts) == 16 and all(map(math.isfinite, parts))
+    closed = ln_derivative(Quaternion(-1.0, 1e-300))
+    assert qdist(grads["d1"], closed) <= 1e-12 * abs(closed)
+
+
+def test_eval_grad_huge_power_is_finite(capsys):
+    # a loop over the exponent would take 1e9 steps here
+    code, out, _ = run_cli(capsys, "eval-grad", "power:1000000000",
+                           "0.5+0.1i+0j+0k")
+    assert code == EXIT_OK
+    _, grads = parse_gradient_output(out)
+    assert all(math.isfinite(x) for g in grads.values()
+               for x in (g.a, g.b, g.c, g.d))
+
+
+@pytest.mark.parametrize("function, point", [
+    ("power:-6", "1e300+0.5i-3j+2k"),  # complex z ** -6 is nan here
+    ("power:2", "1e154+0i+0j+1e-8k"),  # q^2 is finite, q^4 is not
+])
+def test_eval_grad_large_points_are_finite(capsys, function, point):
+    code, out, _ = run_cli(capsys, "eval-grad", function, point)
+    assert code == EXIT_OK
+    _, grads = parse_gradient_output(out)
+    assert all(math.isfinite(x) for g in grads.values()
+               for x in (g.a, g.b, g.c, g.d))
+
+
+_EXTREME = st.sampled_from([0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5,
+                            math.pi / 2, -math.pi / 2, 700.0, -700.0,
+                            1e300, -1e300])
+_FUNCTIONS = st.sampled_from(["exp", "ln", "tanh"]) | st.builds(
+    "power:{}".format, st.integers(-6, 12) | st.just(1_000_000_000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUNCTIONS, st.builds(Quaternion, _EXTREME, _EXTREME, _EXTREME,
+                             _EXTREME))
+def test_eval_grad_extreme_points_never_raise(function, point):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval-grad", function, "--", str(point)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), err.getvalue()
+    if code == EXIT_OK:
+        _, grads = parse_gradient_output(out.getvalue())
+        assert all(math.isfinite(x) for g in grads.values()
+                   for x in (g.a, g.b, g.c, g.d))
 
 
 def test_eval_grad_parse_errors(capsys):

@@ -7,11 +7,11 @@ from conftest import qdist, rand_pure_unit, rand_quat, rand_quat_in_shell, tanh_
 from quatgrad import (DomainError, Elementary, FDConfig, ONE, OutsideAnnulus,
                       PoleError, PowerSeriesFn, QI, QJ, Quaternion, Side,
                       ZERO, default_step, exp_derivative, exp_series,
-                      hr_gradient_fd, jet_pow, jet_seed, left_from_real,
-                      ln_derivative, ln_q, ln_real_gradient,
-                      power_derivative, power_derivative_oracle,
-                      real_axis_limit_check, symmetric_ratio, tanh_derivative,
-                      tanh_q, tanh_series)
+                      gradient_error, hr_gradient_fd, jet_exp, jet_pow,
+                      jet_seed, jet_tanh, left_from_real, ln_derivative, ln_q,
+                      ln_real_gradient, power_derivative,
+                      power_derivative_oracle, real_axis_limit_check,
+                      symmetric_ratio, tanh_derivative, tanh_q, tanh_series)
 
 
 # -- symmetric ratio -----------------------------------------------------------
@@ -288,6 +288,36 @@ def test_ln_real_gradient_inverts_exp_jet(rng):
                                   g_exp.as_tuple()):
             acc = acc + exp_part * comp
         assert qdist(acc, unit) <= 1e-12
+
+
+# -- full real gradient through the intrinsic lift ------------------------------
+
+@pytest.mark.parametrize("v", [None, 0.0, 1e-300, 1e-12, 1e-8])
+def test_elementary_real_gradient_matches_jets(rng, v):
+    # v is None: random points and random quaternion centers.  Otherwise the
+    # lift point sits at distance v from the real axis; the centers are then
+    # real, because a quaternion center would round an imaginary part of
+    # 1e-300 away.
+    for _ in range(40):
+        if v is None:
+            offset = rand_quat(rng)
+            center = rand_quat(rng, 0.3)
+        else:
+            a = float(rng.uniform(0.3, 1.5)) * (1 if rng.random() < 0.5 else -1)
+            offset = Quaternion(a) + rand_pure_unit(rng) * v
+            center = Quaternion(float(rng.standard_normal()) * 0.3)
+        cases = [(Elementary.exp(), offset, jet_exp(jet_seed(offset)).grad)]
+        if tanh_safe(offset):
+            cases.append((Elementary.tanh(), offset,
+                          jet_tanh(jet_seed(offset)).grad))
+        if abs(offset) >= 0.3:
+            q = center + offset
+            cases.extend((Elementary.power(n, center), q,
+                          jet_pow(jet_seed(q) - center, n).grad)
+                         for n in range(-4, 13))
+        for fn, q, oracle in cases:
+            err = gradient_error(fn.real_gradient(q), oracle)
+            assert err <= 1e-12, (fn, q, err)
 
 
 # -- real-axis consistency -----------------------------------------------------
