@@ -29,7 +29,8 @@ from .qlms import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                    run_system_identification, update_step, write_record_csv)
 from .quaternion import (AxisUnit, IMAGINARY_AXES, ONE, PolarForm, QI, QJ, QK,
                          Quaternion, ZERO, components_from_involutions,
-                         exp_q, isclose, ln_q, polar, tanh_q)
+                         cosh_abs_sq, exp_q, isclose, lift, ln_q, polar,
+                         tanh_q)
 from .regular import (Elementary, PowerSeriesFn, exp_derivative, exp_series,
                       intrinsic_gradient, ln_derivative, ln_real_gradient,
                       power_derivative, power_derivative_oracle,

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import qlms, validate
-from .hr import Side, left_from_real, right_from_real
+from .hr import left_from_real, right_from_real
 from .quaternion import Quaternion
 from .regular import Elementary
 
@@ -60,23 +60,17 @@ def _build_parser() -> _Parser:
 
 
 def _parse_function(text: str) -> Elementary:
-    if text == "exp":
-        return Elementary.exp()
-    if text == "ln":
-        return Elementary.ln()
-    if text == "tanh":
-        return Elementary.tanh()
-    if text.startswith("power:"):
-        fields = text.split(":")
-        if len(fields) not in (2, 3):
-            raise ValueError(f"bad power argument {text!r}, "
-                             "expected power:<n>[:<center>]")
-        n = int(fields[1])
-        center = Quaternion.from_string(fields[2]) if len(fields) == 3 \
-            else Quaternion(0.0)
-        return Elementary.power(n, center)
-    raise ValueError(f"unknown function {text!r} "
-                     "(expected exp, ln, tanh or power:<n>[:<center>])")
+    """exp | ln | tanh | power:<n>[:<center>]; Elementary rejects other names."""
+    kind, _, rest = text.partition(":")
+    if kind != "power":
+        return Elementary(text)
+    fields = rest.split(":")
+    if not fields[0] or len(fields) > 2:
+        raise ValueError(f"bad power argument {text!r}, "
+                         "expected power:<n>[:<center>]")
+    center = Quaternion.from_string(fields[1]) if len(fields) == 2 \
+        else Quaternion(0.0)
+    return Elementary.power(int(fields[0]), center)
 
 
 def _cmd_eval_grad(args) -> int:
@@ -86,10 +80,9 @@ def _cmd_eval_grad(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
     try:
         grad = fn.real_gradient(point)
-        h = left_from_real(grad) if side is Side.LEFT else right_from_real(grad)
+        h = (left_from_real if args.side == "left" else right_from_real)(grad)
     except (ArithmeticError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -193,11 +186,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    if args.command == "eval-grad":
-        return _cmd_eval_grad(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_qlms_run(args)
+    return {"eval-grad": _cmd_eval_grad, "validate": _cmd_validate,
+            "qlms-run": _cmd_qlms_run}[args.command](args)
 
 
 if __name__ == "__main__":

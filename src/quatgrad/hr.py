@@ -86,14 +86,15 @@ def _require_side(h: HRGradient, side: Side, what: str) -> None:
 # Conversions between real and HR gradients
 # ---------------------------------------------------------------------------
 
-def _mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
+def side_mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
     """p q for the left operator, q p for the right one."""
     return p * q if side is Side.LEFT else q * p
 
 
 def _hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     dA, dB, dC, dD = g.as_tuple()
-    bi, cj, dk = _mul(side, dB, QI), _mul(side, dC, QJ), _mul(side, dD, QK)
+    bi, cj, dk = (side_mul(side, dB, QI), side_mul(side, dC, QJ),
+                  side_mul(side, dD, QK))
     return HRGradient(
         (dA - bi - cj - dk) * 0.25,
         (dA - bi + cj + dk) * 0.25,
@@ -118,9 +119,9 @@ def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
     d1, dI, dJ, dK = h.as_tuple()
     return RealGradient(
         d1 + dI + dJ + dK,
-        _mul(side, d1 + dI - dJ - dK, QI),
-        _mul(side, d1 - dI + dJ - dK, QJ),
-        _mul(side, d1 - dI - dJ + dK, QK),
+        side_mul(side, d1 + dI - dJ - dK, QI),
+        side_mul(side, d1 - dI + dJ - dK, QJ),
+        side_mul(side, d1 - dI - dJ + dK, QK),
     )
 
 
@@ -145,7 +146,7 @@ def differential(h: HRGradient, dq: Quaternion) -> Quaternion:
              dq.involution(AxisUnit.K))
     total = ZERO
     for partial, step in zip(h.as_tuple(), steps):
-        total = total + _mul(h.side, partial, step)
+        total = total + side_mul(h.side, partial, step)
     return total
 
 
@@ -391,7 +392,7 @@ def chain_matrix_components(g_grad: RealGradient) -> QMatrix:
     rows = []
     for phi in range(4):
         component_grad = RealGradient(
-            *(Quaternion(_component(p, phi)) for p in g_grad.as_tuple()))
+            *(Quaternion((p.a, p.b, p.c, p.d)[phi]) for p in g_grad.as_tuple()))
         rows.append(left_from_real(component_grad).as_tuple())
     return _qmat(rows)
 
@@ -405,17 +406,13 @@ def real_jacobian(g_grad: RealGradient):
     return [[cols[beta][phi] for beta in range(4)] for phi in range(4)]
 
 
-def _component(q: Quaternion, idx: int) -> float:
-    return (q.a, q.b, q.c, q.d)[idx]
-
-
 def _compose(outer_parts, m: QMatrix, side: Side) -> HRGradient:
     """Part nu is sum_mu outer_parts[mu] m[mu][nu], multiplied in side order."""
     parts = []
     for nu in range(4):
         acc = ZERO
         for mu in range(4):
-            acc = acc + _mul(side, outer_parts[mu], m[mu][nu])
+            acc = acc + side_mul(side, outer_parts[mu], m[mu][nu])
         parts.append(acc)
     return HRGradient(*parts, side)
 
@@ -457,7 +454,7 @@ def chain_rule_third(dfdg: Quaternion, g_hr: HRGradient) -> HRGradient:
     d^nu = (d1)^nu.
     """
     _check_real_valued(g_hr, "chain_rule_third")
-    parts = tuple(_mul(g_hr.side, dfdg, p) for p in g_hr.as_tuple())
+    parts = tuple(side_mul(g_hr.side, dfdg, p) for p in g_hr.as_tuple())
     return HRGradient(*parts, g_hr.side)
 
 

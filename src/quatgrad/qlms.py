@@ -13,6 +13,7 @@ The product order e * x* matters; x* * e is wrong for quaternions.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,10 +128,11 @@ class ExperimentConfig:
             raise ValueError("filter_length must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.noise_power < 0.0:
-            raise ValueError("noise_power must be nonnegative")
-        if self.step_size < 0.0:
-            raise ValueError("step_size must be nonnegative")
+        # "not in range" rejects nan too: every comparison with nan is false
+        if not 0.0 <= self.noise_power < math.inf:
+            raise ValueError("noise_power must be finite and nonnegative")
+        if not 0.0 <= self.step_size < math.inf:
+            raise ValueError("step_size must be finite and nonnegative")
         if len(self.true_weights) != self.filter_length:
             raise ValueError(
                 f"true_weights has length {len(self.true_weights)}, "

@@ -9,15 +9,21 @@ component order (a, b, c, d).  The imaginary units satisfy
 so multiplication is non-commutative, but real factors always commute.
 Besides the Hamilton product the module provides the axis involutions
 q^nu = -nu q nu, recovery of the real components from an involution
-quadruple, the polar decomposition q = a + v*vhat, the elementary
-transcendental functions exp/ln/tanh in closed form, and a text form
+quadruple, the polar decomposition q = a + v*vhat, and a text form
 "a+bi+cj+dk" used by the CLI and test fixtures.
+
+exp, ln and tanh are values of one lift: a complex function F, real on the
+real axis, acts on q as Re F(z) + vhat Im F(z) with z = q_a + i v, so each
+is a domain check plus lift(cmath.exp | cmath.log | cmath.tanh, q).  The
+jets in hr and the series in regular are their independent oracles.
 """
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import DomainError, InconsistentQuadruple, PoleError
 
@@ -144,15 +150,7 @@ class Quaternion:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # a square past the last bit could overflow needlessly
-                base = base * base
-        return result
+        return power_by_squaring(self, n, ONE)
 
     # -- involutions -----------------------------------------------------
 
@@ -273,50 +271,71 @@ def polar(q: Quaternion) -> PolarForm:
     return PolarForm(q.a, v, axis, theta)
 
 
+def power_by_squaring(x, n: int, one):
+    """x^n for n >= 0 in O(log n) products; x is a Quaternion or a complex."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:  # a square past the last bit could overflow needlessly
+            x = x * x
+    return result
+
+
+def lift(F: Callable[[complex], complex], q: Quaternion) -> Quaternion:
+    """Re F(z) + vhat Im F(z), z = q_a + i v: how a real-coefficient power
+    series acts on q.  At v = 0 it is Re F(q_a); callers reject real points
+    where Im F(q_a) != 0."""
+    v = q.imag_norm()
+    w = F(complex(q.a, v))
+    if v == 0.0:
+        return Quaternion(w.real)
+    f = w.imag / v
+    return Quaternion(w.real, f * q.b, f * q.c, f * q.d)
+
+
 def exp_q(q: Quaternion) -> Quaternion:
     """exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0."""
-    ea = math.exp(q.a)
-    v = q.imag_norm()
-    if v == 0.0:
-        return Quaternion(ea)
-    f = ea * math.sin(v) / v
-    return Quaternion(ea * math.cos(v), f * q.b, f * q.c, f * q.d)
+    return lift(cmath.exp, q)
+
+
+def check_ln(q: Quaternion) -> None:
+    """Reject q = 0 and the negative real axis, where ln has no value."""
+    if q.norm() == 0.0:
+        raise DomainError("ln is undefined at q = 0")
+    if q.imag_norm() == 0.0 and q.a < 0.0:
+        raise DomainError("ln branch point: q is real with q_a <= 0")
 
 
 def ln_q(q: Quaternion) -> Quaternion:
     """Principal logarithm ln(q) = ln|q| + vhat * arccos(q_a/|q|).
 
-    Defined for all q with nonzero imaginary part and on the positive real
-    axis.  On the real axis with q_a <= 0 there is no axis to carry the
-    imaginary term, so the branch point is rejected.
+    On the real axis with q_a <= 0 there is no axis to carry the imaginary
+    term, so the branch point is rejected.
     """
-    r = q.norm()
-    if r == 0.0:
-        raise DomainError("ln is undefined at q = 0")
-    v = q.imag_norm()
-    if v == 0.0:
-        if q.a < 0.0:
-            raise DomainError("ln branch point: q is real with q_a <= 0")
-        return Quaternion(math.log(q.a))
-    # atan2(v, q_a) equals arccos(q_a/|q|) for v >= 0 and is stable near
-    # the real axis
-    f = math.atan2(v, q.a) / v
-    return Quaternion(math.log(r), f * q.b, f * q.c, f * q.d)
+    check_ln(q)
+    return lift(cmath.log, q)
+
+
+def cosh_abs_sq(q: Quaternion) -> float:
+    """|cosh q|^2 = sinh^2 q_a + cos^2 v, zero exactly at the poles of tanh.
+
+    It exceeds 1 once |q_a| >= 1, and is inf past the float range (s * s
+    overflows to inf; math.sinh raises beyond |q_a| ~ 710.47).
+    """
+    s = math.sinh(q.a) if abs(q.a) < 710.0 else math.inf
+    return s * s + math.cos(q.imag_norm()) ** 2
+
+
+def check_tanh(q: Quaternion) -> None:
+    """Reject the poles of tanh: the zeros of cosh q, q_a = 0, v = pi/2 + n pi."""
+    den = cosh_abs_sq(q)
+    if den < _TANH_POLE_TOL:
+        raise PoleError(f"tanh pole: |cosh q|^2 = {den:.3e} at q = {q}")
 
 
 def tanh_q(q: Quaternion) -> Quaternion:
-    """tanh(q) = (sinh 2q_a + vhat sin 2v) / (2 (sinh^2 q_a + cos^2 v)).
-
-    Agrees with (e^q - e^-q)(e^q + e^-q)^-1 wherever both are defined.  The
-    denominator equals |cosh q|^2, so the poles are exactly the zeros of
-    cosh q (q_a = 0, v = pi/2 + n*pi).
-    """
-    v = q.imag_norm()
-    den = math.sinh(q.a) ** 2 + math.cos(v) ** 2
-    if den < _TANH_POLE_TOL:
-        raise PoleError(f"tanh pole: |cosh q|^2 = {den:.3e} at q = {q}")
-    re = 0.5 * math.sinh(2.0 * q.a) / den
-    if v == 0.0:
-        return Quaternion(re)
-    f = 0.5 * math.sin(2.0 * v) / (v * den)
-    return Quaternion(re, f * q.b, f * q.c, f * q.d)
+    """tanh(q) = (e^q - e^-q)(e^q + e^-q)^-1, rejected near its poles."""
+    check_tanh(q)
+    return lift(cmath.tanh, q)

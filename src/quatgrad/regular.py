@@ -25,20 +25,24 @@ coefficients the two sides coincide.  As q approaches the real axis the
 HR derivative tends to the ordinary real derivative.
 
 exp, ln, tanh and (q - q0)^n are intrinsic: each lifts a complex F, real on
-the real axis, to f(q) = Re F(z) + vhat Im F(z) with z = q_a + i v.  Elementary
-takes their full real gradient from F(z) and F'(z) by Cauchy-Riemann
-(intrinsic_gradient); the jets and finite differences are its oracle.
+the real axis, to f(q) = Re F(z) + vhat Im F(z) with z = qt_a + i v.  The
+ratio term above is then Im F(z)/v, so Elementary computes the value, the
+HR derivative and (by Cauchy-Riemann, intrinsic_gradient) the full real
+gradient from cmath's F(z) and F'(z) alone.  The jets, finite differences,
+PowerSeriesFn and the Chebyshev form power_derivative are its oracles.
 """
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, OutsideAnnulus
-from .hr import QJet, RealGradient, Side
-from .quaternion import ONE, QI, QJ, QK, ZERO, Quaternion, exp_q, ln_q, tanh_q
+from .errors import OutsideAnnulus
+from .hr import RealGradient, Side, side_mul
+from .quaternion import (QI, QJ, QK, ZERO, Quaternion, check_ln, check_tanh,
+                         lift, power_by_squaring)
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -147,9 +151,7 @@ class PowerSeriesFn:
         qt = self._check_annulus(q)
         acc = ZERO
         for n in self._orders:
-            term = qt ** n
-            a = self.coeffs[n]
-            acc = acc + (a * term if self.side is Side.LEFT else term * a)
+            acc = acc + side_mul(self.side, self.coeffs[n], qt ** n)
         return acc
 
     def usual_derivative(self, q: Quaternion) -> Quaternion:
@@ -157,11 +159,9 @@ class PowerSeriesFn:
         qt = self._check_annulus(q)
         acc = ZERO
         for n in self._orders:
-            if n == 0:
-                continue
-            term = qt ** (n - 1) * n
-            a = self.coeffs[n]
-            acc = acc + (a * term if self.side is Side.LEFT else term * a)
+            if n != 0:
+                term = qt ** (n - 1) * n
+                acc = acc + side_mul(self.side, self.coeffs[n], term)
         return acc
 
     def derivative(self, q: Quaternion) -> Quaternion:
@@ -169,24 +169,15 @@ class PowerSeriesFn:
 
         The ratio term is accumulated termwise through symmetric_ratio, so
         the real-axis limit needs no special casing.  Termwise it equals
-        Sum a_n * power_derivative(..., n) restricted to this series.
+        Sum a_n * power_derivative(..., n) restricted to this series.  The
+        ratio is a real scalar, so a_n s = s a_n on either side.
         """
         qt = self._check_annulus(q)
-        usual = ZERO
         ratio = ZERO
         for n in self._orders:
-            if n == 0:
-                continue
-            a = self.coeffs[n]
-            term = qt ** (n - 1) * n
-            s = symmetric_ratio(qt, n)
-            if self.side is Side.LEFT:
-                usual = usual + a * term
-                ratio = ratio + a * s
-            else:
-                usual = usual + term * a
-                ratio = ratio + s * a
-        return (usual + ratio) * 0.5
+            if n != 0:
+                ratio = ratio + self.coeffs[n] * symmetric_ratio(qt, n)
+        return (self.usual_derivative(q) + ratio) * 0.5
 
 
 def exp_series(n_max: int = 30) -> PowerSeriesFn:
@@ -227,46 +218,22 @@ def tanh_series(n_max: int = 61) -> PowerSeriesFn:
 
 
 # ---------------------------------------------------------------------------
-# Elementary closed forms
+# Elementary functions: lifts of complex functions
 # ---------------------------------------------------------------------------
 
 def exp_derivative(q: Quaternion) -> Quaternion:
     """d(e^q)/dq = (e^q + e^{q_a} sin(v)/v) / 2, with sin(v)/v -> 1 at v=0."""
-    v = q.imag_norm()
-    sinc = math.sin(v) / v if v > 0.0 else 1.0
-    return (exp_q(q) + Quaternion(math.exp(q.a) * sinc)) * 0.5
+    return Elementary.exp().hr_derivative(q)
 
 
 def ln_derivative(q: Quaternion) -> Quaternion:
-    """d(ln q)/dq = (q^-1 + arccos(q_a/|q|)/v) / 2.
-
-    On the positive real axis the second term tends to 1/q_a, giving the
-    real value 1/q_a; the negative real axis is a branch point.
-    """
-    if abs(q) == 0.0:
-        raise DomainError("ln derivative undefined at q = 0")
-    v = q.imag_norm()
-    if v == 0.0:
-        if q.a < 0.0:
-            raise DomainError("ln branch point: q is real with q_a <= 0")
-        return Quaternion(1.0 / q.a)
-    theta = math.atan2(v, q.a)
-    return (q.inverse() + Quaternion(theta / v)) * 0.5
+    """d(ln q)/dq = (q^-1 + arccos(q_a/|q|)/v) / 2, 1/q_a at v = 0."""
+    return Elementary.ln().hr_derivative(q)
 
 
 def tanh_derivative(q: Quaternion) -> Quaternion:
-    """d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2.
-
-    sech^2 q = 1 - tanh^2 q, and the scalar term tends to
-    2/(cosh 2q_a + 1) = sech^2(q_a) at v = 0.  tanh_q raises PoleError
-    near the zeros of cosh q, so the pole set is that of tanh itself.
-    """
-    t = tanh_q(q)
-    v = q.imag_norm()
-    den2 = math.sinh(q.a) ** 2 + math.cos(v) ** 2  # |cosh q|^2
-    # cosh(2 q_a) + cos(2 v) == 2 * den2
-    ratio = (math.sin(2.0 * v) / v if v > 0.0 else 2.0) / (2.0 * den2)
-    return (ONE - t * t + Quaternion(ratio)) * 0.5
+    """d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2."""
+    return Elementary.tanh().hr_derivative(q)
 
 
 def intrinsic_gradient(F: Callable[[complex], complex],
@@ -274,7 +241,7 @@ def intrinsic_gradient(F: Callable[[complex], complex],
                        q: Quaternion) -> RealGradient:
     """Real gradient of the lift f(q) = Re F(z) + vhat Im F(z), z = q_a + i v.
 
-    With x = I(q), A = Re F'(z), B = Im F'(z)/v and C = Im F(z)/v,
+    With x = I(q), A = Re F'(z), B = Im F'(z)/v and C = Im F(z)/v (_ratio),
     Cauchy-Riemann gives
 
         df/dq_a = A + x B
@@ -288,8 +255,8 @@ def intrinsic_gradient(F: Callable[[complex], complex],
         d = dF(complex(q.a, 0.0)).real
         return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
     z = complex(q.a, v)
-    f, df = F(z), dF(z)
-    a, b, c = df.real, df.imag / v, f.imag / v
+    df = dF(z)
+    a, b, c = df.real, df.imag / v, _ratio(F(z), df, v)
     vhat = Quaternion(0.0, q.b / v, q.c / v, q.d / v)
     partials = [Quaternion(a, b * q.b, b * q.c, b * q.d)]
     for x_u, e_u in ((q.b, QI), (q.c, QJ), (q.d, QK)):
@@ -304,29 +271,45 @@ def ln_real_gradient(q: Quaternion) -> RealGradient:
 
 
 class _Row(NamedTuple):
-    """Value, closed-form d1, and the F, F' lifted at q - center."""
+    """F and F' lifted at q - center, and the domain check on q."""
 
-    value: Callable[[Quaternion], Quaternion]
-    d1: Callable[[Quaternion], Quaternion]
     F: Callable[[complex], complex]
     dF: Callable[[complex], complex]
+    check: Callable[[Quaternion], None] = lambda q: None  # exp, (q - c)^n
     center: Quaternion = ZERO
 
 
 def _zpow(z: complex, n: int) -> complex:
-    """z^n, inverted first for n < 0: z ** n is nan once z^-n overflows."""
-    return z ** n if n >= 0 else (1 / z) ** -n
+    """z^n by squaring: past |n| = 100 CPython's z ** n takes the polar form,
+    whose phase error ~ n pi 2^-53 swamps Im z^n next to the negative real
+    axis.  Inverted first for n < 0 (z ** n is nan once z^-n overflows)."""
+    return power_by_squaring(1 / z if n < 0 else z, abs(n), 1 + 0j)
+
+
+_SUBNORMAL_SLACK = 8 * 5e-324  # eight steps of the smallest subnormal
+
+
+def _ratio(f: complex, df: complex, v: float) -> float:
+    """The ratio term Im F(z)/v, f = F(z) and df = F'(z); F'(q_a) at v = 0.
+
+    A subnormal Im F(z) within a few steps of v Re F'(z) has lost its digits
+    to underflow (exp at -700 + 1e-300 i); the limit Re F'(z) is taken
+    there.  Next to ln's branch cut Im F(z) ~ pi keeps the quotient.
+    """
+    if v == 0.0 or (abs(f.imag) < sys.float_info.min
+                    and abs(f.imag - v * df.real) <= _SUBNORMAL_SLACK):
+        return df.real
+    return f.imag / v
 
 
 _ROWS = {
-    "exp": lambda n, c: _Row(exp_q, exp_derivative, cmath.exp, cmath.exp),
-    "ln": lambda n, c: _Row(ln_q, ln_derivative, cmath.log, lambda z: 1 / z),
-    "tanh": lambda n, c: _Row(tanh_q, tanh_derivative, cmath.tanh,
-                              lambda z: 1 - cmath.tanh(z) ** 2),
-    "power": lambda n, c: _Row(lambda q: (q - c) ** n,
-                               lambda q: power_derivative(q, c, n),
-                               lambda z: _zpow(z, n),
-                               lambda z: n * _zpow(z, n - 1) if n else 0j, c),
+    "exp": lambda n, c: _Row(cmath.exp, cmath.exp),
+    "ln": lambda n, c: _Row(cmath.log, lambda z: 1 / z, check_ln),
+    "tanh": lambda n, c: _Row(cmath.tanh, lambda z: 1 - cmath.tanh(z) ** 2,
+                              check_tanh),
+    "power": lambda n, c: _Row(lambda z: _zpow(z, n),
+                               lambda z: n * _zpow(z, n - 1) if n else 0j,
+                               center=c),
 }
 
 
@@ -334,11 +317,10 @@ _ROWS = {
 class Elementary:
     """One of the elementary functions exp, ln, tanh or (q - center)^n.
 
-    Each kind is one table row: the function value, the closed-form HR
-    derivative, and the complex function whose intrinsic lift gives the
-    full real gradient, which is what the CLI and the consistency checks
-    consume.  Every route starts from value(q), so all share its domain,
-    branch and pole checks.
+    Each kind is one table row: the complex function F, its derivative F'
+    and a domain check.  The value, the HR derivative and the full real
+    gradient (which the CLI and the consistency checks consume) are all
+    computed from the lift of F at q - center, after the check.
     """
 
     kind: str
@@ -363,18 +345,32 @@ class Elementary:
 
     def __post_init__(self):
         if self.kind not in _ROWS:
-            raise ValueError(f"unknown elementary function {self.kind!r}")
+            raise ValueError(f"unknown elementary function {self.kind!r} "
+                             f"(expected {', '.join(_ROWS)})")
 
     @property
     def _row(self) -> _Row:
         return _ROWS[self.kind](self.n, self.center)
 
     def value(self, q: Quaternion) -> Quaternion:
-        return self._row.value(q)
+        row = self._row
+        row.check(q)
+        return lift(row.F, q - row.center)
 
     def hr_derivative(self, q: Quaternion) -> Quaternion:
-        """Closed-form d1 slot (identical for the left and right operators)."""
-        return self._row.d1(q)
+        """d1, identical for the left and right operators.
+
+        With z = qt_a + i v, qt = q - center, this is the paper's
+        (f'(q) + (g(qt) - g(qt*))(qt - qt*)^-1)/2, whose ratio term is
+        Im F(z)/v:  (lift F'(qt) + Im F(z)/v)/2, and F'(qt_a) at v = 0.
+        """
+        row = self._row
+        row.check(q)
+        qt = q - row.center
+        v = qt.imag_norm()
+        z = complex(qt.a, v)
+        ratio = _ratio(row.F(z), row.dF(z), v)
+        return (lift(row.dF, qt) + Quaternion(ratio)) * 0.5
 
     def real_derivative(self, x: float) -> float:
         """f'(x) in the ordinary real-calculus sense."""
@@ -383,13 +379,14 @@ class Elementary:
         return self.real_gradient(Quaternion(x)).dA.a
 
     def real_gradient(self, q: Quaternion) -> RealGradient:
-        """Full real gradient through the intrinsic lift."""
-        return self.jet(q).grad
+        """Full real gradient through the intrinsic lift.
 
-    def jet(self, q: Quaternion) -> QJet:
+        The value is computed first, so an overflowing value is an error
+        here too, even where F' alone would be finite.
+        """
+        self.value(q)
         row = self._row
-        return QJet(row.value(q),
-                    intrinsic_gradient(row.F, row.dF, q - row.center))
+        return intrinsic_gradient(row.F, row.dF, q - row.center)
 
 
 def real_axis_limit_check(fn: Elementary, q_a: float, v_sequence,

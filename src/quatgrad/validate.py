@@ -12,10 +12,8 @@ import numpy as np
 
 from . import fd, hr, regular
 from .quaternion import (ONE, QI, QJ, QK, ZERO, AxisUnit, IMAGINARY_AXES,
-                         Quaternion, components_from_involutions, exp_q,
-                         ln_q, polar, tanh_q)
-
-SUITE_NAMES = ("algebra", "rules", "series", "consistency", "fd")
+                         Quaternion, components_from_involutions,
+                         cosh_abs_sq, exp_q, ln_q, polar, tanh_q)
 
 
 @dataclass
@@ -55,6 +53,20 @@ def random_pure_unit(rng: np.random.Generator) -> Quaternion:
         n = float(np.linalg.norm(v))
         if n > 1e-3:
             return Quaternion(0.0, *(float(x) / n for x in v))
+
+
+def random_quaternion_in_shell(rng: np.random.Generator, lo: float = 0.4,
+                               hi: float = 2.0) -> Quaternion:
+    """A random_quaternion draw, repeated until lo <= |q| <= hi."""
+    while True:
+        q = random_quaternion(rng)
+        if lo <= abs(q) <= hi:
+            return q
+
+
+def tanh_safe(q: Quaternion, margin: float = 0.1) -> bool:
+    """True where |cosh q|^2 > margin, away from the poles of tanh."""
+    return cosh_abs_sq(q) > margin
 
 
 def _tally(name: str, errors, tol: float, lines=None) -> CheckResult:
@@ -139,7 +151,7 @@ def suite_algebra(rng: np.random.Generator) -> SuiteReport:
     errors = []
     for _ in range(200):
         q = random_quaternion(rng, 0.7)
-        if math.sinh(q.a) ** 2 + math.cos(q.imag_norm()) ** 2 < 0.1:
+        if not tanh_safe(q):
             continue
         e_pos, e_neg = exp_q(q), exp_q(-q)
         quotient = (e_pos - e_neg) * (e_pos + e_neg).inverse()
@@ -235,7 +247,6 @@ def suite_rules(rng: np.random.Generator) -> SuiteReport:
     checks.append(_tally("differential reconstruction is 2nd order", errors, 0.5))
 
     errors = []
-    witness_ok = 0
     for _ in range(100):
         q = random_quaternion(rng)
         alpha, beta = random_quaternion(rng), random_quaternion(rng)
@@ -249,8 +260,7 @@ def suite_rules(rng: np.random.Generator) -> SuiteReport:
                                 alpha * hf.as_tuple()[n] + beta * hg.as_tuple()[n]))
     q = Quaternion(0.3, -0.7, 1.1, 0.4)
     d_right = hr.left_from_real((hr.jet_seed(q) * QI).grad).d1
-    if _dist(d_right, ONE * QI) > 0.5:
-        witness_ok = 1
+    witness_ok = int(_dist(d_right, QI) > 0.5)
     checks.append(_tally("left-linearity", errors, 1e-12))
     checks.append(CheckResult("right-multiplication linearity fails (witness)",
                               witness_ok, 1 - witness_ok, 0.0))
@@ -328,20 +338,13 @@ def suite_rules(rng: np.random.Generator) -> SuiteReport:
 # series
 # ---------------------------------------------------------------------------
 
-def _safe_radius_quat(rng, lo=0.4, hi=2.0) -> Quaternion:
-    while True:
-        q = random_quaternion(rng)
-        if lo <= abs(q) <= hi:
-            return q
-
-
 def suite_series(rng: np.random.Generator) -> SuiteReport:
     checks = []
 
     errors, lr = [], []
     for n in range(-8, 9):
         for _ in range(100):
-            q = _safe_radius_quat(rng)
+            q = random_quaternion_in_shell(rng)
             closed = regular.power_derivative(q, ZERO, n)
             oracle = regular.power_derivative_oracle(q, ZERO, n)
             errors.append(_dist(closed, oracle) / max(1.0, abs(oracle)))
@@ -352,11 +355,9 @@ def suite_series(rng: np.random.Generator) -> SuiteReport:
     checks.append(_tally("left power derivative == right", lr, 1e-13))
 
     errors = []
-    for n in range(-8, 9):
-        if n == 0:
-            continue
+    for n in (*range(-8, 0), *range(1, 9)):
         for _ in range(20):
-            q = _safe_radius_quat(rng)
+            q = random_quaternion_in_shell(rng)
             jet = hr.jet_pow(hr.jet_seed(q), n)
             errors.append(_dist(regular.power_derivative(q, ZERO, n),
                                 hr.left_from_real(jet.grad).d1)
@@ -365,7 +366,7 @@ def suite_series(rng: np.random.Generator) -> SuiteReport:
 
     errors = []
     for _ in range(200):
-        q = _safe_radius_quat(rng)
+        q = random_quaternion_in_shell(rng)
         n = int(rng.integers(-6, 7))
         if n == 0:
             continue
@@ -391,7 +392,7 @@ def suite_series(rng: np.random.Generator) -> SuiteReport:
 
     errors = []
     for _ in range(100):
-        q = _safe_radius_quat(rng, 0.4, 1.5)
+        q = random_quaternion_in_shell(rng, 0.4, 1.5)
         coeffs = {n: Quaternion(float(rng.standard_normal()))
                   for n in range(-3, 6)}
         left = regular.PowerSeriesFn(ZERO, coeffs, hr.Side.LEFT, (0.1, 2.0))
@@ -456,8 +457,7 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
          lambda q: abs(q) > 0.4),
         ("q*q", lambda q: q.conjugate() * q, lambda s: s.conjugate() * s, None),
         ("exp", exp_q, hr.jet_exp, lambda q: abs(q) < 2.5),
-        ("tanh", tanh_q, hr.jet_tanh,
-         lambda q: math.sinh(q.a) ** 2 + math.cos(q.imag_norm()) ** 2 > 0.1),
+        ("tanh", tanh_q, hr.jet_tanh, tanh_safe),
     ]
     errors = []
     for label, f, jet_of, safe in cases:
@@ -491,21 +491,17 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
     lines = []
     slope_failures = 0
     steps = [1e-2 / 2 ** i for i in range(5)]
-    for label, f, jet_of, point in (
-            ("q^3 central", lambda q: q ** 3,
-             lambda s: hr.jet_pow(s, 3), Quaternion(0.4, 0.3, -0.2, 0.6)),
-            ("exp central", exp_q, hr.jet_exp, Quaternion(0.2, 0.5, -0.3, 0.1))):
+    exp_point = Quaternion(0.2, 0.5, -0.3, 0.1)
+    for label, f, jet_of, point, kind, (lo, hi) in (
+            ("q^3 central", lambda q: q ** 3, lambda s: hr.jet_pow(s, 3),
+             Quaternion(0.4, 0.3, -0.2, 0.6), "central", (1.8, 2.2)),
+            ("exp central", exp_q, hr.jet_exp, exp_point, "central", (1.8, 2.2)),
+            ("exp forward", exp_q, hr.jet_exp, exp_point, "forward", (0.8, 1.2))):
         ref = jet_of(hr.jet_seed(point)).grad
-        slope = fd.convergence_order(f, point, steps, ref, "central")
+        slope = fd.convergence_order(f, point, steps, ref, kind)
         lines.append(f"    {label}: slope {slope:.3f}")
-        if not 1.8 <= slope <= 2.2:
+        if not lo <= slope <= hi:
             slope_failures += 1
-    ref = hr.jet_exp(hr.jet_seed(Quaternion(0.2, 0.5, -0.3, 0.1))).grad
-    slope = fd.convergence_order(exp_q, Quaternion(0.2, 0.5, -0.3, 0.1),
-                                 steps, ref, "forward")
-    lines.append(f"    exp forward: slope {slope:.3f}")
-    if not 0.8 <= slope <= 1.2:
-        slope_failures += 1
     checks.append(CheckResult("convergence orders (central ~2, forward ~1)",
                               3 - slope_failures, slope_failures, 0.0, lines))
 
@@ -513,9 +509,7 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
     for fn, safe in ((regular.Elementary.exp(), lambda q: abs(q) < 2.0),
                      (regular.Elementary.ln(),
                       lambda q: q.a > 0.3 and q.imag_norm() > 0.1),
-                     (regular.Elementary.tanh(),
-                      lambda q: math.sinh(q.a) ** 2
-                      + math.cos(q.imag_norm()) ** 2 > 0.1)):
+                     (regular.Elementary.tanh(), tanh_safe)):
         done = 0
         while done < 200:
             q = random_quaternion(rng)
@@ -531,20 +525,19 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
     return SuiteReport("fd", checks)
 
 
+_SUITES = {
+    "algebra": suite_algebra,
+    "rules": suite_rules,
+    "series": suite_series,
+    "consistency": lambda rng: suite_consistency(),
+    "fd": suite_fd,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suites(names, seed: int = 20_240_601) -> list[SuiteReport]:
-    reports = []
+    """Run the named suites in order, each on a fresh default_rng(seed)."""
     for name in names:
-        rng = np.random.default_rng(seed)
-        if name == "algebra":
-            reports.append(suite_algebra(rng))
-        elif name == "rules":
-            reports.append(suite_rules(rng))
-        elif name == "series":
-            reports.append(suite_series(rng))
-        elif name == "consistency":
-            reports.append(suite_consistency())
-        elif name == "fd":
-            reports.append(suite_fd(rng))
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    return reports
+    return [_SUITES[name](np.random.default_rng(seed)) for name in names]

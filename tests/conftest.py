@@ -1,9 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from quatgrad import Quaternion
+# the test modules import these from here; they are validate's own samplers
+from quatgrad.validate import random_pure_unit as rand_pure_unit
+from quatgrad.validate import random_quaternion as rand_quat
+from quatgrad.validate import random_quaternion_in_shell as rand_quat_in_shell
+from quatgrad.validate import tanh_safe
 
 
 @pytest.fixture
@@ -11,28 +14,5 @@ def rng():
     return np.random.default_rng(987_654_321)
 
 
-def rand_quat(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(float(x) for x in rng.standard_normal(4) * scale))
-
-
-def rand_pure_unit(rng) -> Quaternion:
-    while True:
-        v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
-        if n > 1e-3:
-            return Quaternion(0.0, *(float(x) / n for x in v))
-
-
-def rand_quat_in_shell(rng, lo: float, hi: float) -> Quaternion:
-    while True:
-        q = rand_quat(rng)
-        if lo <= abs(q) <= hi:
-            return q
-
-
 def qdist(p: Quaternion, q: Quaternion) -> float:
     return abs(p - q)
-
-
-def tanh_safe(q: Quaternion, margin: float = 0.1) -> bool:
-    return math.sinh(q.a) ** 2 + math.cos(q.imag_norm()) ** 2 > margin

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qdist
+import quatgrad
 from quatgrad import (Quaternion, ln_derivative, read_record_csv,
                       run_system_identification)
 from quatgrad.cli import (EXIT_DIVERGED, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE,
@@ -96,6 +99,15 @@ def test_eval_grad_ln_next_to_branch_cut(capsys):
     assert qdist(grads["d1"], closed) <= 1e-12 * abs(closed)
 
 
+def test_eval_grad_tanh_far_from_origin(capsys):
+    # |cosh q|^2 is beyond the float range; tanh is 1 and its gradient 0
+    code, out, _ = run_cli(capsys, "eval-grad", "tanh", "700+0i+0j+0k")
+    assert code == EXIT_OK
+    _, grads = parse_gradient_output(out)
+    parts = [x for g in grads.values() for x in (g.a, g.b, g.c, g.d)]
+    assert len(parts) == 16 and all(map(math.isfinite, parts))
+
+
 def test_eval_grad_huge_power_is_finite(capsys):
     # a loop over the exponent would take 1e9 steps here
     code, out, _ = run_cli(capsys, "eval-grad", "power:1000000000",
@@ -144,6 +156,10 @@ def test_eval_grad_parse_errors(capsys):
     assert run_cli(capsys, "eval-grad", "sinh", "1+0i+0j+0k")[0] == EXIT_PARSE
     assert run_cli(capsys, "eval-grad", "power:x", "1+0i+0j+0k")[0] == EXIT_PARSE
     assert run_cli(capsys, "eval-grad", "exp", "1+2i+3j")[0] == EXIT_PARSE
+    for function in ("power", "power:", "power:2:1+0i+0j+0k:3", "power:2:zzz",
+                     "exp:2", "Exp"):
+        code, out, err = run_cli(capsys, "eval-grad", function, "1+0i+0j+0k")
+        assert (code, out) == (EXIT_PARSE, "") and "parse error" in err
 
 
 def test_unknown_flag_is_parse_error(capsys):
@@ -265,6 +281,8 @@ def test_qlms_run_missing_file(tmp_path, capsys):
     "M=4 mu=0.05\niterations=10\nnoise_power=0\nseed=1\n",
     "M=2\nmu=0.05\niterations=10\nnoise_power=0\nseed=1\n"
     "true_weights=1+0i+0j+0k\n",                          # wrong weight count
+    "M=4\nmu=nan\niterations=10\nnoise_power=0\nseed=1\n",
+    "M=4\nmu=0.05\niterations=10\nnoise_power=inf\nseed=1\n",
 ])
 def test_qlms_run_bad_configs(tmp_path, capsys, bad):
     cfg_path = tmp_path / "bad.cfg"
@@ -276,29 +294,35 @@ def test_qlms_run_bad_configs(tmp_path, capsys, bad):
 
 # -- real process end to end -----------------------------------------------------
 
+# child processes import quatgrad from the same tree as this test session
+_SRC = str(Path(quatgrad.__file__).resolve().parents[1])
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def test_subprocess_eval_grad_exit_codes():
     base = [sys.executable, "-m", "quatgrad"]
     ok = subprocess.run(base + ["eval-grad", "exp", "0+0i+0j+0k"],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=_CHILD_ENV)
     assert ok.returncode == EXIT_OK
     assert "d1: " in ok.stdout
     bad_point = subprocess.run(base + ["eval-grad", "exp", "zzz"],
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=_CHILD_ENV)
     assert bad_point.returncode == EXIT_PARSE
     domain = subprocess.run(base + ["eval-grad", "ln", "0+0i+0j+0k"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=_CHILD_ENV)
     assert domain.returncode == EXIT_DOMAIN
 
 
 def test_subprocess_validate_and_qlms(tmp_path):
     base = [sys.executable, "-m", "quatgrad"]
     val = subprocess.run(base + ["validate", "series"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=_CHILD_ENV)
     assert val.returncode == EXIT_OK, val.stdout + val.stderr
     cfg = tmp_path / "c.cfg"
     cfg.write_text("M=3\nmu=0.02\niterations=100\nnoise_power=0.0\nseed=5\n")
     out = tmp_path / "o.csv"
     run = subprocess.run(base + ["qlms-run", str(cfg), str(out)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=_CHILD_ENV)
     assert run.returncode == EXIT_OK, run.stdout + run.stderr
     assert out.read_text().startswith("iteration,squared_error,weight_error_norm")

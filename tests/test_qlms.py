@@ -208,6 +208,13 @@ def test_config_validation():
         _config(true_weights=(ONE,))
 
 
+@pytest.mark.parametrize("field", ["noise_power", "step_size"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        _config(**{field: value})
+
+
 def test_noiseless_identification_converges():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import qdist, rand_quat, tanh_safe
 from quatgrad import (AxisUnit, DomainError, InconsistentQuadruple, ONE,
                       PoleError, QI, QJ, QK, Quaternion, ZERO,
-                      components_from_involutions, exp_q, isclose, ln_q,
-                      polar, tanh_q)
+                      components_from_involutions, cosh_abs_sq, exp_q,
+                      isclose, ln_q, polar, tanh_q)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -243,6 +243,15 @@ def test_tanh_values(rng):
 def test_tanh_pole():
     with pytest.raises(PoleError):
         tanh_q(QI * (math.pi / 2))
+
+
+def test_tanh_far_from_origin_is_exactly_one():
+    # sinh^2 q_a is beyond the float range here; tanh saturates at +-1
+    assert tanh_q(Quaternion(700.0)) == ONE
+    assert tanh_q(Quaternion(-700.0)) == -ONE
+    assert cosh_abs_sq(Quaternion(700.0)) == math.inf
+    assert cosh_abs_sq(Quaternion(-1000.0, 0.5)) == math.inf
+    assert cosh_abs_sq(QI * (math.pi / 2)) < 1e-30
 
 
 # -- text form ----------------------------------------------------------------

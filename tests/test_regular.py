@@ -230,6 +230,14 @@ def test_tanh_derivative_values():
         tanh_derivative(QI * (math.pi / 2))
 
 
+def test_tanh_derivative_far_from_origin_is_finite():
+    for q in (Quaternion(700.0), Quaternion(-700.0, 0.3, 0.0, -0.2),
+              Quaternion(1e300, 1.0)):
+        d = tanh_derivative(q)
+        assert all(math.isfinite(x) for x in (d.a, d.b, d.c, d.d))
+    assert tanh_derivative(Quaternion(700.0)) == ZERO
+
+
 def test_tanh_derivative_matches_series():
     f = tanh_series(61)
     q = Quaternion(0.3, 0.4)
@@ -318,6 +326,56 @@ def test_elementary_real_gradient_matches_jets(rng, v):
         for fn, q, oracle in cases:
             err = gradient_error(fn.real_gradient(q), oracle)
             assert err <= 1e-12, (fn, q, err)
+
+
+@pytest.mark.parametrize("v", [None, 0.0, 1e-300, 1e-12, 1e-8])
+def test_elementary_power_lift_matches_chebyshev_form(rng, v):
+    # the lift of z^n against (q - c)^n and the paper's Chebyshev closed form
+    for _ in range(20):
+        if v is None:
+            center = rand_quat(rng, 0.3)
+            offset = rand_quat_in_shell(rng, 0.5, 2.0)
+        else:
+            center = Quaternion(float(rng.standard_normal()) * 0.3)
+            a = float(rng.uniform(0.5, 2.0)) * (1 if rng.random() < 0.5 else -1)
+            offset = Quaternion(a) + rand_pure_unit(rng) * v
+        q = center + offset
+        for n in range(-6, 13):
+            fn = Elementary.power(n, center)
+            value = (q - center) ** n
+            assert qdist(fn.value(q), value) <= 1e-12 * max(1.0, abs(value))
+            closed = power_derivative(q, center, n)
+            assert (qdist(fn.hr_derivative(q), closed)
+                    <= 1e-12 * max(1.0, abs(closed))), (n, q)
+
+
+@pytest.mark.parametrize("n", [101, 200, 1000, -150])
+@pytest.mark.parametrize("v", [1e-300, 1e-12])
+def test_elementary_high_power_next_to_negative_axis(rng, n, v):
+    # past |n| = 100 a polar z ** n has a phase error ~ n pi 2^-53 that
+    # would swamp Im z^n ~ n qt_a^(n-1) v next to the negative real axis
+    for _ in range(10):
+        center = Quaternion(float(rng.standard_normal()) * 0.3)
+        qt = Quaternion(-float(rng.uniform(0.9, 1.1))) + rand_pure_unit(rng) * v
+        q = center + qt
+        fn = Elementary.power(n, center)
+        closed = power_derivative(q, center, n)
+        tol = 1e-12 * max(1.0, abs(closed))
+        assert qdist(fn.hr_derivative(q), closed) <= tol, (n, q)
+        assert qdist(left_from_real(fn.real_gradient(q)).d1, closed) <= tol
+
+
+def test_ratio_term_survives_underflow():
+    # Im F(z) underflows at v = 1e-300; the ratio term is then F'(q_a)
+    q = Quaternion(-700.0, 1e-300)
+    expected = Quaternion(math.exp(-700.0))
+    assert qdist(exp_derivative(q), expected) <= 1e-15 * abs(expected)
+    d1 = left_from_real(Elementary.exp().real_gradient(q)).d1
+    assert qdist(d1, expected) <= 1e-15 * abs(expected)
+    q = Quaternion(0.0247, 1e-300)
+    closed = power_derivative(q, ZERO, 12)
+    assert (qdist(Elementary.power(12).hr_derivative(q), closed)
+            <= 1e-15 * abs(closed))
 
 
 # -- real-axis consistency -----------------------------------------------------
