@@ -9,9 +9,11 @@ lift, a finite-difference verification oracle, and a QLMS adaptive filter
 with a system-identification harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (DomainError, InconsistentQuadruple, LengthMismatch,
-                     NotRealValued, OutsideAnnulus, PoleError, QuatGradError,
-                     SideMismatch)
+                     NonFiniteComponent, NotRealValued, OutsideAnnulus,
+                     PoleError, QuatGradError, SideMismatch)
 from .fd import (FDConfig, convergence_order, default_step, gradient_error,
                  hr_gradient_fd, real_partials_fd, rel_error)
 from .hr import (HRGradient, IDENTITY_GRADIENT, JACOBIAN, QJet, RealGradient,
@@ -39,4 +41,8 @@ from .regular import (Elementary, PowerSeriesFn, exp_derivative, exp_series,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; not the submodules the imports bind as a side
+# effect
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and not isinstance(value, _ModuleType)]

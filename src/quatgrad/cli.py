@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import qlms, validate
+from .errors import NonFiniteComponent
 from .hr import left_from_real, right_from_real
 from .quaternion import Quaternion
 from .regular import Elementary
@@ -83,6 +84,10 @@ def _cmd_eval_grad(args) -> int:
     try:
         grad = fn.real_gradient(point)
         h = (left_from_real if args.side == "left" else right_from_real)(grad)
+    except (OverflowError, NonFiniteComponent):
+        print(f"domain error: {args.function} at q = {point}: the result is "
+              "beyond the float range", file=sys.stderr)
+        return EXIT_DOMAIN
     except (ArithmeticError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -171,8 +176,9 @@ def _cmd_qlms_run(args) -> int:
     qlms.write_record_csv(record, args.output)
     print(f"wrote {args.output} ({len(record.squared_error)} iterations)")
     if record.diverged:
-        print(f"diverged: weight norm exceeded {qlms.DIVERGENCE_LIMIT:.0e} "
-              f"after {len(record.squared_error)} iterations", file=sys.stderr)
+        print(f"diverged: weight norm past {qlms.DIVERGENCE_LIMIT:.0e} or not "
+              f"finite after {len(record.squared_error)} iterations",
+              file=sys.stderr)
         return EXIT_DIVERGED
     final_err_sq = sum((w - wt).norm_sq()
                        for w, wt in zip(record.final_weights, cfg.true_weights))

@@ -17,6 +17,10 @@ class OutsideAnnulus(DomainError):
     """Point lies outside the annulus of a power-series representation."""
 
 
+class NonFiniteComponent(QuatGradError, ValueError):
+    """A quaternion component is nan or infinite, as after an overflow."""
+
+
 class InconsistentQuadruple(QuatGradError, ValueError):
     """The four inputs are not the involution quadruple of one quaternion."""
 

@@ -10,6 +10,11 @@ update
 
 i.e. the exposed mu equals twice the step applied to the raw gradient.
 The product order e * x* matters; x* * e is wrong for quaternions.
+
+predict, error_signal, cost_gradient and update_step are the spec API.
+The system-identification harness runs the same steps on float 4-tuples
+instead of Quaternion objects, in the same operation order; a test checks
+that its records are bit-identical to a loop over the spec API.
 """
 
 import csv
@@ -145,7 +150,8 @@ class ConvergenceRecord:
 
     weight_error_sq[n] is taken before the n-th update, so entry 0 is the
     initial error; the post-run error comes from final_weights.  Lists are
-    truncated at the point of divergence when the run is cut short.
+    truncated at the point of divergence when the run is cut short, and
+    final_weights are then the last finite weights.
     """
 
     squared_error: list[float] = field(default_factory=list)
@@ -162,8 +168,13 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     per-axis noise variance noise_power/4.  Weights start at zero.  A
     StabilityWarning is emitted when mu exceeds the heuristic guard
     1/(2 M E|x|^2) with E|x|^2 estimated from the generated signal.  The
-    run stops early (diverged=True) if the weight norm passes
-    DIVERGENCE_LIMIT.
+    run stops early (diverged=True) once the weight norm passes
+    DIVERGENCE_LIMIT or is not finite; when the last update overflowed
+    to inf or nan, final_weights holds the last finite weights.
+
+    The loop is error_signal and update_step on float 4-tuples: the same
+    products, sums and conjugations in the same order, so the record is
+    bit-identical to a loop over the spec API (checked by test).
     """
     m = cfg.filter_length
     n_iter = cfg.iterations
@@ -179,29 +190,59 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
             f"{guard:.4g} = 1/(2 M E|x|^2); the run may diverge",
             StabilityWarning, stacklevel=2)
 
-    state = FilterState((ZERO,) * m, cfg.step_size)
+    mu = cfg.step_size
+    limit_sq = DIVERGENCE_LIMIT ** 2
+    true = [(t.a, t.b, t.c, t.d) for t in cfg.true_weights]
+    weights = [(0.0, 0.0, 0.0, 0.0)] * m
     record = ConvergenceRecord()
     for n in range(n_iter):
-        x = tuple(Quaternion(*(float(v) for v in xs[n, tap]))
-                  for tap in range(m))
-        d = ZERO
-        for wt, xm in zip(cfg.true_weights, x):
-            d = d + wt * xm
-        d = d + Quaternion(*(float(v) for v in noise[n]))
-        sample = SamplePair(x, d)
+        # one row at a time: converting all of xs at once costs memory
+        x = xs[n].tolist()
+        # d = 0 + sum wt x + noise and y = 0 + sum w x, products in the
+        # order w*x; |w - wt|^2 per tap before the update
+        da = db = dc = dd = ya = yb = yc = yd = 0.0
+        werr = []
+        for (ta, tb, tc, td), (wa, wb, wc, wd), (xa, xb, xc, xd) \
+                in zip(true, weights, x):
+            da = da + (ta * xa - tb * xb - tc * xc - td * xd)
+            db = db + (ta * xb + tb * xa + tc * xd - td * xc)
+            dc = dc + (ta * xc - tb * xd + tc * xa + td * xb)
+            dd = dd + (ta * xd + tb * xc - tc * xb + td * xa)
+            ya = ya + (wa * xa - wb * xb - wc * xc - wd * xd)
+            yb = yb + (wa * xb + wb * xa + wc * xd - wd * xc)
+            yc = yc + (wa * xc - wb * xd + wc * xa + wd * xb)
+            yd = yd + (wa * xd + wb * xc - wc * xb + wd * xa)
+            ga, gb, gc, gd = wa - ta, wb - tb, wc - tc, wd - td
+            werr.append(ga * ga + gb * gb + gc * gc + gd * gd)
+        na, nb, nc, nd = noise[n].tolist()
+        ea = (da + na) - ya
+        eb = (db + nb) - yb
+        ec = (dc + nc) - yc
+        ed = (dd + nd) - yd
+        record.squared_error.append(ea * ea + eb * eb + ec * ec + ed * ed)
+        # sum() as in the spec loop: since Python 3.12 it is compensated
+        record.weight_error_sq.append(sum(werr))
 
-        e = error_signal(state, sample)
-        record.squared_error.append(e.norm_sq())
-        record.weight_error_sq.append(
-            sum((w - wt).norm_sq()
-                for w, wt in zip(state.weights, cfg.true_weights)))
-
-        state = update_step(state, sample)
-        if sum(w.norm_sq() for w in state.weights) > DIVERGENCE_LIMIT ** 2:
+        # w + (e x*) mu, the Hamilton product with x* = (xa, -xb, -xc, -xd)
+        # written with its signs folded in (exact in IEEE arithmetic)
+        new = []
+        norms = []
+        for (wa, wb, wc, wd), (xa, xb, xc, xd) in zip(weights, x):
+            wa = wa + (ea * xa + eb * xb + ec * xc + ed * xd) * mu
+            wb = wb + (eb * xa - ea * xb - ec * xd + ed * xc) * mu
+            wc = wc + (eb * xd - ea * xc + ec * xa - ed * xb) * mu
+            wd = wd + (-ea * xd - eb * xc + ec * xb + ed * xa) * mu
+            new.append((wa, wb, wc, wd))
+            norms.append(wa * wa + wb * wb + wc * wc + wd * wd)
+        # "not <=" counts nan and inf weights as diverged too
+        if not sum(norms) <= limit_sq:
             record.diverged = True
+            if all(map(math.isfinite, (c for w in new for c in w))):
+                weights = new
             break
+        weights = new
 
-    record.final_weights = state.weights
+    record.final_weights = tuple(Quaternion(*w) for w in weights)
     return record
 
 

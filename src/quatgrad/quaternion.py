@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import DomainError, InconsistentQuadruple, PoleError
+from .errors import (DomainError, InconsistentQuadruple, NonFiniteComponent,
+                     PoleError)
 
 _QUADRUPLE_TOL = 1e-10
 _TANH_POLE_TOL = 1e-12
@@ -51,7 +52,8 @@ class Quaternion:
                 x = float(x)
                 object.__setattr__(self, name, x)
             if not math.isfinite(x):
-                raise ValueError(f"non-finite quaternion component: {x!r}")
+                raise NonFiniteComponent(
+                    f"non-finite quaternion component: {x!r}")
 
     # -- basic structure ------------------------------------------------
 

@@ -81,6 +81,20 @@ def test_eval_grad_domain_error(capsys):
         assert "domain error" in err
 
 
+@pytest.mark.parametrize("function, point", [
+    ("exp", "1000+0i+0j+0k"),           # cmath.exp raises OverflowError
+    ("power:2000", "10+1i+0j+0k"),      # z^2000 is nan in complex arithmetic
+    ("exp", "709.7+0.5i+0.5j+0.5k"),    # only left_from_real's sums overflow
+    ("power:3:1+0i+0j+0k", "1e200+0i+0j+0k"),
+])
+def test_eval_grad_overflow_names_function_and_point(capsys, function, point):
+    code, out, err = run_cli(capsys, "eval-grad", function, point)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == (f"domain error: {function} at q = "
+                   f"{Quaternion.from_string(point)}: the result is beyond "
+                   "the float range\n")
+
+
 def test_eval_grad_tanh_pole_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "eval-grad", "tanh",
                              "0+1.5707963267948966i+0j+0k")
@@ -265,6 +279,20 @@ def test_qlms_run_divergence_exit(tmp_path, capsys, recwarn):
     assert code == EXIT_DIVERGED
     assert "diverged" in err
     assert out_path.exists()  # truncated record still written
+
+
+def test_qlms_run_overflow_is_divergence(tmp_path, capsys, recwarn):
+    # mu * e x* overflows to inf in the first update
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "M=4\nmu=1e308\niterations=50\nnoise_power=0.01\nseed=3\n")
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    assert code == EXIT_DIVERGED
+    assert err.startswith("diverged: ")
+    assert out == f"wrote {out_path} (1 iterations)\n"
+    se, we = read_record_csv(out_path)
+    assert len(se) == len(we) == 1 and all(map(math.isfinite, se + we))
 
 
 def test_qlms_run_missing_file(tmp_path, capsys):

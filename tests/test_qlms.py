@@ -1,10 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import qdist, rand_quat
-from quatgrad import (ConvergenceRecord, ExperimentConfig, FilterState,
+from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
+                      FilterState,
                       LengthMismatch, ONE, QI, QJ, QK, Quaternion,
                       SamplePair, StabilityWarning, ZERO, cost_gradient,
                       error_signal, jet_const, jet_seed, left_from_real,
@@ -261,6 +263,75 @@ def test_divergence_flag_and_truncation():
     assert record.diverged
     assert len(record.squared_error) < 500
     assert len(record.squared_error) == len(record.weight_error_sq)
+
+
+def _spec_run(cfg):
+    """run_system_identification as a loop over the spec API: the same
+    draws, then error_signal and update_step on FilterState each step."""
+    m = cfg.filter_length
+    rng = np.random.default_rng(cfg.rng_seed)
+    xs = rng.standard_normal((cfg.iterations, m, 4))
+    noise = rng.standard_normal((cfg.iterations, 4)) \
+        * np.sqrt(cfg.noise_power / 4.0)
+    state = FilterState((ZERO,) * m, cfg.step_size)
+    record = ConvergenceRecord()
+    for n in range(cfg.iterations):
+        x = tuple(Quaternion(*(float(v) for v in xs[n, tap]))
+                  for tap in range(m))
+        d = ZERO
+        for wt, xm in zip(cfg.true_weights, x):
+            d = d + wt * xm
+        sample = SamplePair(x, d + Quaternion(*(float(v) for v in noise[n])))
+        record.squared_error.append(error_signal(state, sample).norm_sq())
+        record.weight_error_sq.append(
+            sum((w - wt).norm_sq()
+                for w, wt in zip(state.weights, cfg.true_weights)))
+        state = update_step(state, sample)
+        if sum(w.norm_sq() for w in state.weights) > DIVERGENCE_LIMIT ** 2:
+            record.diverged = True
+            break
+    record.final_weights = state.weights
+    return record
+
+
+@pytest.mark.parametrize("m", [1, 4, 32])
+@pytest.mark.parametrize("iterations, mu, diverges", [
+    (1, 0.01, False),
+    (100, 0.0, False),
+    (300, "below guard", False),
+    (300, 5.0, True),
+    (20, 1e200, True),  # finite weights whose squared norm overflows
+])
+def test_harness_bit_identical_to_spec_api(m, iterations, mu, diverges):
+    rng = np.random.default_rng([m, iterations])
+    step = 0.5 / (8.0 * m) if mu == "below guard" else mu
+    cfg = ExperimentConfig(
+        filter_length=m,
+        true_weights=tuple(Quaternion(*rng.standard_normal(4).tolist())
+                           for _ in range(m)),
+        noise_power=0.1, step_size=step, iterations=iterations,
+        rng_seed=int(rng.integers(2 ** 32)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        fast, spec = run_system_identification(cfg), _spec_run(cfg)
+    assert fast.diverged == spec.diverged == diverges
+    assert fast.squared_error == spec.squared_error
+    assert fast.weight_error_sq == spec.weight_error_sq
+    assert fast.final_weights == spec.final_weights
+
+
+def test_overflowing_update_is_divergence():
+    # mu * e x* is inf in the first update; the spec API raises there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        record = run_system_identification(
+            _config(step_size=1e308, iterations=50, noise_power=0.01,
+                    rng_seed=3))
+    assert record.diverged
+    assert len(record.squared_error) == len(record.weight_error_sq) == 1
+    assert all(map(math.isfinite, record.squared_error))
+    # the last finite weights: the initial ones
+    assert record.final_weights == (ZERO,) * 4
 
 
 def test_stability_warning_fires():
