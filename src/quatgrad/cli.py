@@ -64,7 +64,7 @@ def _parse_function(text: str) -> Elementary:
     """exp | ln | tanh | power:<n>[:<center>]; Elementary rejects other names."""
     kind, _, rest = text.partition(":")
     if kind != "power":
-        return Elementary(text)
+        return Elementary.named(text)
     fields = rest.split(":")
     if not fields[0] or len(fields) > 2:
         raise ValueError(f"bad power argument {text!r}, "

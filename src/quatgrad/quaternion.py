@@ -12,24 +12,20 @@ q^nu = -nu q nu, recovery of the real components from an involution
 quadruple, the polar decomposition q = a + v*vhat, and a text form
 "a+bi+cj+dk" used by the CLI and test fixtures.
 
-exp, ln and tanh are values of one lift: a complex function F, real on the
-real axis, acts on q as Re F(z) + vhat Im F(z) with z = q_a + i v, so each
-is a domain check plus lift(cmath.exp | cmath.log | cmath.tanh, q).  The
-jets in hr and the series in regular are their independent oracles.
+lift(F, q) is how a complex function F, real on the real axis, acts on q:
+Re F(z) + vhat Im F(z) with z = q_a + i v.  The elementary functions built
+on it (exp, ln, tanh, (q - c)^n) live in regular.
 """
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import (DomainError, InconsistentQuadruple, NonFiniteComponent,
-                     PoleError)
+from .errors import InconsistentQuadruple, NonFiniteComponent
 
 _QUADRUPLE_TOL = 1e-10
-_TANH_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +33,8 @@ class Quaternion:
     """An immutable quaternion with components (a, b, c, d).
 
     All arithmetic returns new instances; values are safe to share across
-    threads.  Public construction rejects NaN and infinity.
+    threads.  Public construction stores each component as a Python float
+    and rejects NaN and infinity.
     """
 
     a: float
@@ -48,7 +45,7 @@ class Quaternion:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             x = getattr(self, name)
-            if not isinstance(x, float):
+            if type(x) is not float:  # numpy.float64 passes isinstance
                 x = float(x)
                 object.__setattr__(self, name, x)
             if not math.isfinite(x):
@@ -296,48 +293,3 @@ def lift(F: Callable[[complex], complex], q: Quaternion) -> Quaternion:
     f = w.imag / v
     return Quaternion(w.real, f * q.b, f * q.c, f * q.d)
 
-
-def exp_q(q: Quaternion) -> Quaternion:
-    """exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0."""
-    return lift(cmath.exp, q)
-
-
-def check_ln(q: Quaternion) -> None:
-    """Reject q = 0 and the negative real axis, where ln has no value."""
-    if q.norm() == 0.0:
-        raise DomainError("ln is undefined at q = 0")
-    if q.imag_norm() == 0.0 and q.a < 0.0:
-        raise DomainError("ln branch point: q is real with q_a <= 0")
-
-
-def ln_q(q: Quaternion) -> Quaternion:
-    """Principal logarithm ln(q) = ln|q| + vhat * arccos(q_a/|q|).
-
-    On the real axis with q_a <= 0 there is no axis to carry the imaginary
-    term, so the branch point is rejected.
-    """
-    check_ln(q)
-    return lift(cmath.log, q)
-
-
-def cosh_abs_sq(q: Quaternion) -> float:
-    """|cosh q|^2 = sinh^2 q_a + cos^2 v, zero exactly at the poles of tanh.
-
-    It exceeds 1 once |q_a| >= 1, and is inf past the float range (s * s
-    overflows to inf; math.sinh raises beyond |q_a| ~ 710.47).
-    """
-    s = math.sinh(q.a) if abs(q.a) < 710.0 else math.inf
-    return s * s + math.cos(q.imag_norm()) ** 2
-
-
-def check_tanh(q: Quaternion) -> None:
-    """Reject the poles of tanh: the zeros of cosh q, q_a = 0, v = pi/2 + n pi."""
-    den = cosh_abs_sq(q)
-    if den < _TANH_POLE_TOL:
-        raise PoleError(f"tanh pole: |cosh q|^2 = {den:.3e} at q = {q}")
-
-
-def tanh_q(q: Quaternion) -> Quaternion:
-    """tanh(q) = (e^q - e^-q)(e^q + e^-q)^-1, rejected near its poles."""
-    check_tanh(q)
-    return lift(cmath.tanh, q)

@@ -28,8 +28,11 @@ exp, ln, tanh and (q - q0)^n are intrinsic: each lifts a complex F, real on
 the real axis, to f(q) = Re F(z) + vhat Im F(z) with z = qt_a + i v.  The
 ratio term above is then Im F(z)/v, so Elementary computes the value, the
 HR derivative and (by Cauchy-Riemann, intrinsic_gradient) the full real
-gradient from cmath's F(z) and F'(z) alone.  The jets, finite differences,
-PowerSeriesFn and the Chebyshev form power_derivative are its oracles.
+gradient from cmath's F(z) and F'(z) alone.  This module is their one
+home: each is one Elementary value holding F, F' and its domain check, and
+exp_q, ln_q, tanh_q and exp/ln/tanh_derivative call those values.  The
+jets, finite differences, PowerSeriesFn and the Chebyshev form
+power_derivative are the oracles.
 """
 
 import cmath
@@ -37,12 +40,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .errors import OutsideAnnulus
+from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_mul
-from .quaternion import (QI, QJ, QK, ZERO, Quaternion, check_ln, check_tanh,
-                         lift, power_by_squaring)
+from .quaternion import QI, QJ, QK, ZERO, Quaternion, lift, power_by_squaring
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -221,19 +223,66 @@ def tanh_series(n_max: int = 61) -> PowerSeriesFn:
 # Elementary functions: lifts of complex functions
 # ---------------------------------------------------------------------------
 
+_TANH_POLE_TOL = 1e-12
+
+
+def cosh_abs_sq(q: Quaternion) -> float:
+    """|cosh q|^2 = sinh^2 q_a + cos^2 v, zero exactly at the poles of tanh.
+
+    It exceeds 1 once |q_a| >= 1, and is inf past the float range (s * s
+    overflows to inf; math.sinh raises beyond |q_a| ~ 710.47).
+    """
+    s = math.sinh(q.a) if abs(q.a) < 710.0 else math.inf
+    return s * s + math.cos(q.imag_norm()) ** 2
+
+
+def _check_ln(q: Quaternion) -> None:
+    """Reject q = 0 and the negative real axis, where ln has no value."""
+    if q.norm() == 0.0:
+        raise DomainError("ln is undefined at q = 0")
+    if q.imag_norm() == 0.0 and q.a < 0.0:
+        raise DomainError("ln branch point: q is real with q_a <= 0")
+
+
+def _check_tanh(q: Quaternion) -> None:
+    """Reject the poles of tanh: the zeros of cosh q, q_a = 0, v = pi/2 + n pi."""
+    den = cosh_abs_sq(q)
+    if den < _TANH_POLE_TOL:
+        raise PoleError(f"tanh pole: |cosh q|^2 = {den:.3e} at q = {q}")
+
+
+def exp_q(q: Quaternion) -> Quaternion:
+    """exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0."""
+    return _EXP.value(q)
+
+
+def ln_q(q: Quaternion) -> Quaternion:
+    """Principal logarithm ln(q) = ln|q| + vhat * arccos(q_a/|q|).
+
+    On the real axis with q_a <= 0 there is no axis to carry the imaginary
+    term, so the branch point is rejected.
+    """
+    return _LN.value(q)
+
+
+def tanh_q(q: Quaternion) -> Quaternion:
+    """tanh(q) = (e^q - e^-q)(e^q + e^-q)^-1, rejected near its poles."""
+    return _TANH.value(q)
+
+
 def exp_derivative(q: Quaternion) -> Quaternion:
     """d(e^q)/dq = (e^q + e^{q_a} sin(v)/v) / 2, with sin(v)/v -> 1 at v=0."""
-    return Elementary.exp().hr_derivative(q)
+    return _EXP.hr_derivative(q)
 
 
 def ln_derivative(q: Quaternion) -> Quaternion:
     """d(ln q)/dq = (q^-1 + arccos(q_a/|q|)/v) / 2, 1/q_a at v = 0."""
-    return Elementary.ln().hr_derivative(q)
+    return _LN.hr_derivative(q)
 
 
 def tanh_derivative(q: Quaternion) -> Quaternion:
     """d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2."""
-    return Elementary.tanh().hr_derivative(q)
+    return _TANH.hr_derivative(q)
 
 
 def intrinsic_gradient(F: Callable[[complex], complex],
@@ -267,16 +316,7 @@ def intrinsic_gradient(F: Callable[[complex], complex],
 
 def ln_real_gradient(q: Quaternion) -> RealGradient:
     """Real gradient of the principal ln at q, through the intrinsic lift."""
-    return Elementary.ln().real_gradient(q)
-
-
-class _Row(NamedTuple):
-    """F and F' lifted at q - center, and the domain check on q."""
-
-    F: Callable[[complex], complex]
-    dF: Callable[[complex], complex]
-    check: Callable[[Quaternion], None] = lambda q: None  # exp, (q - c)^n
-    center: Quaternion = ZERO
+    return _LN.real_gradient(q)
 
 
 def _zpow(z: complex, n: int) -> complex:
@@ -302,60 +342,57 @@ def _ratio(f: complex, df: complex, v: float) -> float:
     return f.imag / v
 
 
-_ROWS = {
-    "exp": lambda n, c: _Row(cmath.exp, cmath.exp),
-    "ln": lambda n, c: _Row(cmath.log, lambda z: 1 / z, check_ln),
-    "tanh": lambda n, c: _Row(cmath.tanh, lambda z: 1 - cmath.tanh(z) ** 2,
-                              check_tanh),
-    "power": lambda n, c: _Row(lambda z: _zpow(z, n),
-                               lambda z: n * _zpow(z, n - 1) if n else 0j,
-                               center=c),
-}
-
-
 @dataclass(frozen=True)
 class Elementary:
     """One of the elementary functions exp, ln, tanh or (q - center)^n.
 
-    Each kind is one table row: the complex function F, its derivative F'
-    and a domain check.  The value, the HR derivative and the full real
-    gradient (which the CLI and the consistency checks consume) are all
-    computed from the lift of F at q - center, after the check.
+    Each is the complex function F, its derivative F' and a domain check on
+    q.  The value, the HR derivative and the full real gradient (which the
+    CLI and the consistency checks consume) are all computed from the lift
+    of F at q - center, after the check.  exp(), ln() and tanh() return one
+    value each, built once; equality and repr see kind, n and center.
     """
 
     kind: str
+    F: Callable[[complex], complex] = field(repr=False, compare=False)
+    dF: Callable[[complex], complex] = field(repr=False, compare=False)
+    check: Callable[[Quaternion], None] = field(repr=False, compare=False)
     n: int = 0
     center: Quaternion = ZERO
 
-    @classmethod
-    def exp(cls) -> "Elementary":
-        return cls("exp")
+    @staticmethod
+    def exp() -> "Elementary":
+        return _EXP
 
-    @classmethod
-    def ln(cls) -> "Elementary":
-        return cls("ln")
+    @staticmethod
+    def ln() -> "Elementary":
+        return _LN
 
-    @classmethod
-    def tanh(cls) -> "Elementary":
-        return cls("tanh")
+    @staticmethod
+    def tanh() -> "Elementary":
+        return _TANH
+
+    @staticmethod
+    def named(name: str) -> "Elementary":
+        """exp, ln or tanh by name."""
+        if name not in _NAMED:
+            raise ValueError(f"unknown elementary function {name!r} "
+                             "(expected exp, ln, tanh, power)")
+        return _NAMED[name]
 
     @classmethod
     def power(cls, n: int, center: Quaternion = ZERO) -> "Elementary":
-        return cls("power", n=n, center=center)
-
-    def __post_init__(self):
-        if self.kind not in _ROWS:
-            raise ValueError(f"unknown elementary function {self.kind!r} "
-                             f"(expected {', '.join(_ROWS)})")
-
-    @property
-    def _row(self) -> _Row:
-        return _ROWS[self.kind](self.n, self.center)
+        """(q - center)^n; for n < 0 its center is a pole."""
+        def check(q: Quaternion) -> None:
+            if n < 0 and q == center:
+                raise ZeroDivisionError(f"pole of (q - c)^n, n = {n}, at its "
+                                        f"center c = {center}")
+        return cls("power", lambda z: _zpow(z, n),
+                   lambda z: n * _zpow(z, n - 1) if n else 0j, check, n, center)
 
     def value(self, q: Quaternion) -> Quaternion:
-        row = self._row
-        row.check(q)
-        return lift(row.F, q - row.center)
+        self.check(q)
+        return lift(self.F, q - self.center)
 
     def hr_derivative(self, q: Quaternion) -> Quaternion:
         """d1, identical for the left and right operators.
@@ -364,17 +401,16 @@ class Elementary:
         (f'(q) + (g(qt) - g(qt*))(qt - qt*)^-1)/2, whose ratio term is
         Im F(z)/v:  (lift F'(qt) + Im F(z)/v)/2, and F'(qt_a) at v = 0.
         """
-        row = self._row
-        row.check(q)
-        qt = q - row.center
+        self.check(q)
+        qt = q - self.center
         v = qt.imag_norm()
         z = complex(qt.a, v)
-        ratio = _ratio(row.F(z), row.dF(z), v)
-        return (lift(row.dF, qt) + Quaternion(ratio)) * 0.5
+        ratio = _ratio(self.F(z), self.dF(z), v)
+        return (lift(self.dF, qt) + Quaternion(ratio)) * 0.5
 
     def real_derivative(self, x: float) -> float:
         """f'(x) in the ordinary real-calculus sense."""
-        if self._row.center.imag_norm() != 0.0:
+        if self.center.imag_norm() != 0.0:
             raise ValueError("real-axis derivative needs a real center")
         return self.real_gradient(Quaternion(x)).dA.a
 
@@ -385,8 +421,14 @@ class Elementary:
         here too, even where F' alone would be finite.
         """
         self.value(q)
-        row = self._row
-        return intrinsic_gradient(row.F, row.dF, q - row.center)
+        return intrinsic_gradient(self.F, self.dF, q - self.center)
+
+
+_EXP = Elementary("exp", cmath.exp, cmath.exp, lambda q: None)
+_LN = Elementary("ln", cmath.log, lambda z: 1 / z, _check_ln)
+_TANH = Elementary("tanh", cmath.tanh, lambda z: 1 - cmath.tanh(z) ** 2,
+                   _check_tanh)
+_NAMED = {fn.kind: fn for fn in (_EXP, _LN, _TANH)}
 
 
 def real_axis_limit_check(fn: Elementary, q_a: float, v_sequence,

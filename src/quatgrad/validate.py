@@ -12,8 +12,8 @@ import numpy as np
 
 from . import fd, hr, regular
 from .quaternion import (ONE, QI, QJ, QK, ZERO, AxisUnit, IMAGINARY_AXES,
-                         Quaternion, components_from_involutions,
-                         cosh_abs_sq, exp_q, ln_q, polar, tanh_q)
+                         Quaternion, components_from_involutions, polar)
+from .regular import cosh_abs_sq, exp_q, ln_q, tanh_q
 
 
 @dataclass
@@ -55,13 +55,19 @@ def random_pure_unit(rng: np.random.Generator) -> Quaternion:
             return Quaternion(0.0, *(float(x) / n for x in v))
 
 
+def _accepted(rng: np.random.Generator, count: int, accept):
+    """The first count random_quaternion draws that pass accept."""
+    while count:
+        q = random_quaternion(rng)
+        if accept(q):
+            count -= 1
+            yield q
+
+
 def random_quaternion_in_shell(rng: np.random.Generator, lo: float = 0.4,
                                hi: float = 2.0) -> Quaternion:
     """A random_quaternion draw, repeated until lo <= |q| <= hi."""
-    while True:
-        q = random_quaternion(rng)
-        if lo <= abs(q) <= hi:
-            return q
+    return next(_accepted(rng, 1, lambda q: lo <= abs(q) <= hi))
 
 
 def tanh_safe(q: Quaternion, margin: float = 0.1) -> bool:
@@ -137,12 +143,7 @@ def suite_algebra(rng: np.random.Generator) -> SuiteReport:
     checks.append(_tally("polar reconstruction, vhat^2 = -1", errors, 1e-13))
 
     errors = []
-    count = 0
-    while count < 1000:
-        q = random_quaternion(rng)
-        if q.imag_norm() >= math.pi - 0.1:
-            continue
-        count += 1
+    for q in _accepted(rng, 1000, lambda q: q.imag_norm() < math.pi - 0.1):
         back = ln_q(exp_q(q))
         errors.append(max(abs(x) for x in ((back.a - q.a), (back.b - q.b),
                                            (back.c - q.c), (back.d - q.d))))
@@ -461,12 +462,7 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
     ]
     errors = []
     for label, f, jet_of, safe in cases:
-        done = 0
-        while done < 100:
-            q = random_quaternion(rng)
-            if safe is not None and not safe(q):
-                continue
-            done += 1
+        for q in _accepted(rng, 100, safe or (lambda q: True)):
             cfg = fd.FDConfig(fd.default_step(q))
             est = fd.real_partials_fd(f, q, cfg)
             ref = jet_of(hr.jet_seed(q)).grad
@@ -510,12 +506,7 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
                      (regular.Elementary.ln(),
                       lambda q: q.a > 0.3 and q.imag_norm() > 0.1),
                      (regular.Elementary.tanh(), tanh_safe)):
-        done = 0
-        while done < 200:
-            q = random_quaternion(rng)
-            if not safe(q):
-                continue
-            done += 1
+        for q in _accepted(rng, 200, safe):
             cfg = fd.FDConfig(fd.default_step(q), richardson=True)
             est = fd.hr_gradient_fd(fn.value, q, cfg)
             closed = fn.hr_derivative(q)

@@ -103,6 +103,18 @@ def test_eval_grad_tanh_pole_is_domain_error(capsys):
     assert "pole" in err
 
 
+@pytest.mark.parametrize("function, point", [
+    ("power:-1", "0+0i+0j+0k"),
+    ("power:-2:1+0i+0j+0k", "1+0i+0j+0k"),
+    ("power:-1:1+2i+0j+0k", "1+2i+0j+0k"),
+])
+def test_eval_grad_power_pole_is_named(capsys, function, point):
+    code, out, err = run_cli(capsys, "eval-grad", function, point)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "pole" in err
+    assert "complex division" not in err
+
+
 def test_eval_grad_ln_next_to_branch_cut(capsys):
     code, out, _ = run_cli(capsys, "eval-grad", "ln", "--", "-1+1e-300i+0j+0k")
     assert code == EXIT_OK

@@ -1,18 +1,33 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import qdist, rand_quat, tanh_safe
-from quatgrad import (AxisUnit, DomainError, InconsistentQuadruple, ONE,
-                      PoleError, QI, QJ, QK, Quaternion, ZERO,
+from quatgrad import (AxisUnit, DomainError, InconsistentQuadruple,
+                      NonFiniteComponent, ONE, PoleError, QI, QJ, QK, Quaternion, ZERO,
                       components_from_involutions, cosh_abs_sq, exp_q,
                       isclose, ln_q, polar, tanh_q)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
+
+
+# -- construction --------------------------------------------------------------
+
+def test_numpy_components_become_python_floats():
+    q = Quaternion(*np.ones(4))
+    assert all(type(x) is float for x in (q.a, q.b, q.c, q.d))
+    assert Quaternion.from_string(str(q)) == q
+    big = Quaternion(*np.full(4, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails here
+        with pytest.raises(NonFiniteComponent):
+            big * big
 
 
 # -- multiplication ----------------------------------------------------------

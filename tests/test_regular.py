@@ -425,3 +425,34 @@ def test_elementary_tanh_value_matches_quotient():
     fn = Elementary.tanh()
     q = Quaternion(0.2, 0.1, -0.3, 0.4)
     assert qdist(fn.value(q), tanh_q(q)) == 0.0
+
+
+_POLE_CENTER = Quaternion(0.5, -1.0, 0.25, 2.0)
+
+
+@pytest.mark.parametrize("fn, q, error", [
+    (Elementary.ln(), ZERO, DomainError),
+    (Elementary.ln(), -ONE, DomainError),
+    (Elementary.tanh(), Quaternion.from_string("0+1.5707963267948966i+0j+0k"),
+     PoleError),
+    (Elementary.power(-2, _POLE_CENTER), _POLE_CENTER, ZeroDivisionError),
+], ids=["ln-zero", "ln-negative-axis", "tanh-pole", "power-pole"])
+def test_one_check_guards_every_route(fn, q, error):
+    raised = []
+    for route in (fn.value, fn.hr_derivative, fn.real_gradient):
+        with pytest.raises(error) as info:
+            route(q)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == raised[2]
+
+
+def test_elementary_values_are_built_once():
+    assert Elementary.exp() is Elementary.exp()
+    assert Elementary.ln() is Elementary.ln()
+    assert Elementary.tanh() is Elementary.tanh()
+    assert Elementary.power(3, ONE) == Elementary.power(3, ONE)
+    assert hash(Elementary.power(3, ONE)) == hash(Elementary.power(3, ONE))
+    assert Elementary.power(3) != Elementary.power(4)
+    assert Elementary.exp() != Elementary.ln()
+    assert repr(Elementary.power(-2, ONE)) == \
+        f"Elementary(kind='power', n=-2, center={ONE!r})"
