@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse error (arguments, quaternion strings,
-config files), 2 domain error (including results beyond the float range),
-3 validation-suite failure, 4 divergent QLMS run.
+config files, unusable output path), 2 domain error (including results
+beyond the float range), 3 validation-suite failure, 4 divergent QLMS run.
 """
 
 import argparse
@@ -10,7 +10,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import qlms, validate
+from . import qlms
 from .errors import NonFiniteComponent
 from .hr import left_from_real, right_from_real
 from .quaternion import Quaternion
@@ -22,6 +22,18 @@ EXIT_DOMAIN = 2
 EXIT_VALIDATION = 3
 EXIT_DIVERGED = 4
 
+# validate.SUITE_NAMES, pinned equal by a test: validate imports numpy, so
+# it is imported only when the validate command runs
+SUITE_NAMES = ("algebra", "rules", "series", "consistency", "fd")
+
+
+def __getattr__(name):
+    """quatgrad.cli.validate, imported on first access (PEP 562)."""
+    if name == "validate":
+        from . import validate
+        return validate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems with exit code 1 (parse failure)."""
@@ -29,6 +41,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """An int >= 0, the seeds numpy's generators accept."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -50,8 +71,8 @@ def _build_parser() -> _Parser:
 
     p_val = sub.add_parser("validate", help="run the self-check suites")
     p_val.add_argument("suite", nargs="?", default="all",
-                       choices=("all",) + validate.SUITE_NAMES)
-    p_val.add_argument("--seed", type=int, default=20_240_601)
+                       choices=("all",) + SUITE_NAMES)
+    p_val.add_argument("--seed", type=_seed, default=20_240_601)
 
     p_run = sub.add_parser("qlms-run",
                            help="run a QLMS system-identification experiment")
@@ -98,6 +119,7 @@ def _cmd_eval_grad(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate
     names = validate.SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = validate.run_suites(names, seed=args.seed)
     all_ok = True
@@ -171,6 +193,12 @@ def _cmd_qlms_run(args) -> int:
         cfg = load_experiment_config(args.config)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    # fail on an unusable output path before the run, not after it
+    try:
+        open(args.output, "w").close()
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     record = qlms.run_system_identification(cfg)
     qlms.write_record_csv(record, args.output)

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .hr import HRGradient, RealGradient, Side, left_from_real, right_from_real
 from .quaternion import ONE, QI, QJ, QK, Quaternion
 
@@ -105,6 +103,13 @@ def convergence_order(f: QuatFn, q: Quaternion, steps: Sequence[float],
             points.append((math.log(h), math.log(err)))
     if len(points) < 2:
         return math.nan
-    xs, ys = zip(*points)
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return least_squares_slope(*zip(*points))
+
+
+def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Slope of the least-squares line through (xs, ys):
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2."""
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(ys) / len(ys)
+    return (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+            / sum((x - x_mean) ** 2 for x in xs))

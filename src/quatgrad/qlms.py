@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import LengthMismatch
 from .quaternion import ZERO, Quaternion
 
@@ -117,8 +115,8 @@ class ExperimentConfig:
             variance noise_power/4.
         step_size: the QLMS mu.
         iterations: number of update steps N.
-        rng_seed: seed for the input/noise generator; runs are
-            bit-reproducible per seed.
+        rng_seed: seed for the input/noise generator, an int >= 0; runs
+            are bit-reproducible per seed.
     """
 
     filter_length: int
@@ -138,10 +136,18 @@ class ExperimentConfig:
             raise ValueError("noise_power must be finite and nonnegative")
         if not 0.0 <= self.step_size < math.inf:
             raise ValueError("step_size must be finite and nonnegative")
+        if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
+            raise ValueError(
+                f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if len(self.true_weights) != self.filter_length:
             raise ValueError(
                 f"true_weights has length {len(self.true_weights)}, "
                 f"expected {self.filter_length}")
+        # the run stops as divergent before the weights could get there
+        if not sum(w.norm_sq() for w in self.true_weights) \
+                <= DIVERGENCE_LIMIT ** 2:
+            raise ValueError(f"true_weights norm must be at most "
+                             f"{DIVERGENCE_LIMIT:.0e}, the divergence limit")
 
 
 @dataclass
@@ -176,6 +182,10 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     products, sums and conjugations in the same order, so the record is
     bit-identical to a loop over the spec API (checked by test).
     """
+    # numpy only here, where the signals are drawn: importing quatgrad
+    # (and the eval-grad command) does not load it
+    import numpy as np
+
     m = cfg.filter_length
     n_iter = cfg.iterations
     rng = np.random.default_rng(cfg.rng_seed)

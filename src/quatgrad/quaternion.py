@@ -54,14 +54,6 @@ class Quaternion:
 
     # -- basic structure ------------------------------------------------
 
-    def real(self) -> float:
-        """The real part R(q)."""
-        return self.a
-
-    def imag(self) -> "Quaternion":
-        """The imaginary part I(q) as a pure quaternion."""
-        return Quaternion(0.0, self.b, self.c, self.d)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 

@@ -4,7 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import qdist
 import quatgrad
-from quatgrad import (Quaternion, ln_derivative, read_record_csv,
-                      run_system_identification)
+from quatgrad import (Quaternion, StabilityWarning, ln_derivative,
+                      read_record_csv, run_system_identification)
 from quatgrad.cli import (EXIT_DIVERGED, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE,
                           EXIT_VALIDATION, load_experiment_config, main)
 
@@ -236,6 +239,33 @@ def test_validate_failure_exits_3(capsys, monkeypatch):
     assert "overall: FAIL" in out
 
 
+def test_cli_suite_names_match_validate():
+    from quatgrad import cli, validate
+    assert cli.SUITE_NAMES == validate.SUITE_NAMES
+
+
+@pytest.mark.parametrize("seed", ["-1", "-20240601"])
+def test_validate_rejects_bad_seed(capsys, seed):
+    code, out, err = run_cli(capsys, "validate", "algebra", "--seed", seed)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "--seed" in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70).map(str) | st.text(max_size=6))
+def test_validate_seed_argument_never_raises(seed):
+    # argument handling only: the suites themselves are not run
+    try:
+        valid = int(seed) >= 0
+    except ValueError:
+        valid = False
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("quatgrad.validate.run_suites", return_value=[]), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "algebra", f"--seed={seed}"])
+    assert code == (EXIT_OK if valid else EXIT_PARSE), err.getvalue()
+
+
 # -- qlms-run ------------------------------------------------------------------
 
 GOOD_CONFIG = """\
@@ -332,6 +362,75 @@ def test_qlms_run_bad_configs(tmp_path, capsys, bad):
     assert code == EXIT_PARSE
 
 
+def test_qlms_run_negative_seed_with_weights(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
+                        "seed=-1\ntrue_weights=1+0i+0j+0k\n")
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
+                             str(tmp_path / "out.csv"))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("config error: ") and "seed" in err
+
+
+@pytest.mark.parametrize("output", ["missing/dir/out.csv", "."])
+def test_qlms_run_unusable_output_fails_before_the_run(tmp_path, capsys,
+                                                       monkeypatch, output):
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("quatgrad.qlms.run_system_identification", no_run)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(GOOD_CONFIG)
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
+                             str(tmp_path / output))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+_WEIGHT = st.builds(Quaternion, _EXTREME, _EXTREME, _EXTREME, _EXTREME).map(str)
+
+
+@st.composite
+def _qlms_configs(draw):
+    """key=value text; M matches the weight count unless drawn bad."""
+    weights = draw(st.none() | st.lists(_WEIGHT, min_size=1, max_size=3))
+    m = len(weights) if weights else draw(st.integers(1, 3))
+    bad = st.sampled_from
+    values = {
+        "M": draw(st.just(str(m)) | bad(["0", "-1", "two"])),
+        "mu": draw(st.sampled_from(["0", "0.01", "0.05", "5.0", "1e308"])
+                   | bad(["-0.1", "nan", "inf", "-inf"])),
+        "iterations": draw(st.integers(1, 50).map(str)
+                           | bad(["0", "-2", "2.5"])),
+        "noise_power": draw(st.sampled_from(["0", "0.01", "1.0"])
+                            | bad(["nan", "inf"])),
+        "seed": draw(st.integers(-2 ** 70, 2 ** 70).map(str)
+                     | bad(["-1", "1.5", "1e3", "0x10", ""])),
+    }
+    if weights is not None:
+        values["true_weights"] = ";".join(weights)
+    elif draw(st.booleans()):
+        values["true_weights"] = draw(bad(["", ";", "1+0i+0j", "zzz",
+                                           "1+0i+0j+0k;", "nan+0i+0j+0k"]))
+    return "".join(f"{key}={value}\n" for key, value in values.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qlms_configs())
+def test_qlms_run_configs_never_raise(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", StabilityWarning)
+        cfg_path = Path(tmp) / "run.cfg"
+        cfg_path.write_text(text)
+        code = main(["qlms-run", str(cfg_path), str(Path(tmp) / "out.csv")])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err.getvalue()
+    if code == EXIT_OK:
+        final = float(out.getvalue().split("final weight error norm:")[1])
+        assert math.isfinite(final)
+
+
 # -- real process end to end -----------------------------------------------------
 
 # child processes import quatgrad from the same tree as this test session
@@ -352,6 +451,22 @@ def test_subprocess_eval_grad_exit_codes():
     domain = subprocess.run(base + ["eval-grad", "ln", "0+0i+0j+0k"],
                             capture_output=True, text=True, env=_CHILD_ENV)
     assert domain.returncode == EXIT_DOMAIN
+
+
+def test_subprocess_eval_grad_loads_no_numpy():
+    # numpy is imported only by the code that draws random numbers
+    child = (
+        "import sys\n"
+        "import quatgrad, quatgrad.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "quatgrad.cli.main(['eval-grad', 'exp', '0.3+0.4i+0j+0k'])\n"
+        "quatgrad.cli.main(['validate', 'algebra', '--seed', '-1'])\n"
+        "print('numpy' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                         text=True, env=_CHILD_ENV)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
 
 
 def test_subprocess_validate_and_qlms(tmp_path):

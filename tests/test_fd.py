@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import qdist, rand_quat, tanh_safe
@@ -7,6 +8,7 @@ from quatgrad import (FDConfig, ONE, QI, QJ, QK, Quaternion, Side, ZERO,
                       convergence_order, default_step, exp_derivative, exp_q,
                       gradient_error, hr_gradient_fd, jet_exp, jet_pow,
                       jet_seed, jet_tanh, real_partials_fd, rel_error, tanh_q)
+from quatgrad.fd import least_squares_slope
 
 
 def test_config_validation():
@@ -127,6 +129,37 @@ def test_convergence_order_linear_is_at_floor():
     steps = [1e-2 / 2 ** i for i in range(5)]
     slope = convergence_order(lambda z: z, q, steps, jet_seed(q).grad)
     assert math.isnan(slope)
+
+
+def test_least_squares_slope_matches_polyfit():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(2, 13))
+        xs = rng.uniform(-25.0, -1.0, n)
+        ys = rng.uniform(-1.0, 1.0) * xs + rng.normal(0.0, 3.0, n) \
+            + rng.uniform(-40.0, 0.0)
+        slope = least_squares_slope(xs.tolist(), ys.tolist())
+        expected = np.polyfit(xs, ys, 1)[0]
+        assert abs(slope - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_convergence_order_matches_polyfit():
+    rng = np.random.default_rng(12)
+    for scheme in ("central", "forward"):
+        for _ in range(20):
+            q = rand_quat(rng)
+            ref = jet_exp(jet_seed(q)).grad
+            steps = [10.0 ** rng.uniform(-4.0, -1.5) / 2 ** i
+                     for i in range(int(rng.integers(3, 7)))]
+            points = []
+            for h in steps:
+                err = gradient_error(
+                    real_partials_fd(exp_q, q, FDConfig(h, scheme)), ref)
+                if err >= 1e-12:
+                    points.append((math.log(h), math.log(err)))
+            slope = convergence_order(exp_q, q, steps, ref, scheme)
+            expected = np.polyfit(*zip(*points), 1)[0]
+            assert abs(slope - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_convergence_order_needs_three_steps():

@@ -217,6 +217,27 @@ def test_config_rejects_non_finite(field, value):
         _config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, 2.0, "3", None])
+def test_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="rng_seed"):
+        _config(rng_seed=seed)
+
+
+def test_config_accepts_huge_seed():
+    record = run_system_identification(
+        _config(rng_seed=2 ** 200, step_size=0.01, iterations=3))
+    assert len(record.squared_error) == 3
+
+
+def test_config_rejects_true_weights_past_divergence_limit():
+    # mu = 0 would run, printing an infinite final weight error; any
+    # mu > 0 would stop as divergent before reaching the weights
+    _config(filter_length=1, true_weights=(Quaternion(DIVERGENCE_LIMIT),))
+    for w in (Quaternion(0, 0, 2 * DIVERGENCE_LIMIT), Quaternion(1e200, 1e200)):
+        with pytest.raises(ValueError, match="true_weights"):
+            _config(filter_length=1, true_weights=(w,))
+
+
 def test_noiseless_identification_converges():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
