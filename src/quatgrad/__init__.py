@@ -31,10 +31,10 @@ from .qlms import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                    run_system_identification, update_step, write_record_csv)
 from .quaternion import (AxisUnit, IMAGINARY_AXES, ONE, PolarForm, QI, QJ, QK,
                          Quaternion, ZERO, components_from_involutions,
-                         isclose, lift, polar)
+                         isclose, polar)
 from .regular import (Elementary, PowerSeriesFn, cosh_abs_sq, exp_derivative,
-                      exp_q, exp_series, intrinsic_gradient, ln_derivative,
-                      ln_q, ln_real_gradient, power_derivative,
+                      exp_q, exp_series, ln_derivative, ln_q,
+                      ln_real_gradient, power_derivative,
                       power_derivative_oracle, real_axis_limit_check,
                       symmetric_ratio, tanh_derivative, tanh_q, tanh_series)
 

@@ -146,8 +146,7 @@ def load_experiment_config(path) -> qlms.ExperimentConfig:
 
     Required keys: M, mu, iterations, noise_power, seed.  Optional:
     true_weights as semicolon-separated quaternion strings; when omitted,
-    the target weights are drawn standard-normal from a generator seeded
-    with (seed, 1) so they stay decorrelated from the input signal.
+    ExperimentConfig draws them (seeded with (seed, 1)) after its checks.
     """
     text = Path(path).read_text()
     values: dict[str, str] = {}
@@ -168,23 +167,16 @@ def load_experiment_config(path) -> qlms.ExperimentConfig:
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
 
-    m = int(values["M"])
-    seed = int(values["seed"])
-    if "true_weights" in values:
-        weights = tuple(Quaternion.from_string(part)
-                        for part in values["true_weights"].split(";"))
-    else:
-        import numpy as np
-        rng = np.random.default_rng([seed, 1])
-        weights = tuple(Quaternion(*(float(x) for x in rng.standard_normal(4)))
-                        for _ in range(m))
+    weights = values.get("true_weights")
+    if weights is not None:
+        weights = tuple(map(Quaternion.from_string, weights.split(";")))
     return qlms.ExperimentConfig(
-        filter_length=m,
+        filter_length=int(values["M"]),
         true_weights=weights,
         noise_power=float(values["noise_power"]),
         step_size=float(values["mu"]),
         iterations=int(values["iterations"]),
-        rng_seed=seed,
+        rng_seed=int(values["seed"]),
     )
 
 

@@ -30,6 +30,9 @@ from .quaternion import ZERO, Quaternion
 #: Weight-vector norm beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
+#: Largest M * iterations: a run draws all its inputs up front, 1 GiB here.
+MAX_TAP_ITERATIONS = 2 ** 25
+
 
 class StabilityWarning(UserWarning):
     """Step size exceeds the heuristic stability guard 1/(2 M E|x|^2)."""
@@ -106,21 +109,24 @@ def update_step(state: FilterState, sample: SamplePair) -> FilterState:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration for a noisy system-identification run.
+    """Configuration for a noisy system-identification run, every setting
+    checked before anything is drawn.
 
     Attributes:
         filter_length: number of taps M.
-        true_weights: the target weight vector (length M).
-        noise_power: total noise power; each of the four axes gets
-            variance noise_power/4.
+        true_weights: the target weights (length M, norm at most
+            DIVERGENCE_LIMIT), or None to draw them standard-normal, seeded
+            with (rng_seed, 1), once the other settings have passed.
+        noise_power: total noise power, at most DIVERGENCE_LIMIT**2 so that
+            e e* stays finite; each of the four axes gets noise_power/4.
         step_size: the QLMS mu.
-        iterations: number of update steps N.
+        iterations: number of update steps N, M * N <= MAX_TAP_ITERATIONS.
         rng_seed: seed for the input/noise generator, an int >= 0; runs
             are bit-reproducible per seed.
     """
 
     filter_length: int
-    true_weights: tuple[Quaternion, ...]
+    true_weights: tuple[Quaternion, ...] | None
     noise_power: float
     step_size: float
     iterations: int
@@ -131,14 +137,24 @@ class ExperimentConfig:
             raise ValueError("filter_length must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.filter_length * self.iterations > MAX_TAP_ITERATIONS:
+            raise ValueError(f"filter_length * iterations is past 2**25 = "
+                             f"{MAX_TAP_ITERATIONS}, 1 GiB of inputs")
         # "not in range" rejects nan too: every comparison with nan is false
-        if not 0.0 <= self.noise_power < math.inf:
-            raise ValueError("noise_power must be finite and nonnegative")
+        if not 0.0 <= self.noise_power <= DIVERGENCE_LIMIT ** 2:
+            raise ValueError(f"noise_power must be in [0, "
+                             f"{DIVERGENCE_LIMIT ** 2:.0e}]")
         if not 0.0 <= self.step_size < math.inf:
             raise ValueError("step_size must be finite and nonnegative")
         if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
             raise ValueError(
                 f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+        if self.true_weights is None:
+            import numpy as np
+            rng = np.random.default_rng([self.rng_seed, 1])
+            object.__setattr__(self, "true_weights", tuple(
+                Quaternion(*(float(x) for x in rng.standard_normal(4)))
+                for _ in range(self.filter_length)))
         if len(self.true_weights) != self.filter_length:
             raise ValueError(
                 f"true_weights has length {len(self.true_weights)}, "

@@ -10,18 +10,14 @@ so multiplication is non-commutative, but real factors always commute.
 Besides the Hamilton product the module provides the axis involutions
 q^nu = -nu q nu, recovery of the real components from an involution
 quadruple, the polar decomposition q = a + v*vhat, and a text form
-"a+bi+cj+dk" used by the CLI and test fixtures.
-
-lift(F, q) is how a complex function F, real on the real axis, acts on q:
-Re F(z) + vhat Im F(z) with z = q_a + i v.  The elementary functions built
-on it (exp, ln, tanh, (q - c)^n) live in regular.
+"a+bi+cj+dk" used by the CLI and test fixtures.  It is only the number
+type: exp, ln, tanh and (q - c)^n of a quaternion live in regular.
 """
 
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .errors import InconsistentQuadruple, NonFiniteComponent
 
@@ -272,16 +268,4 @@ def power_by_squaring(x, n: int, one):
         if n:  # a square past the last bit could overflow needlessly
             x = x * x
     return result
-
-
-def lift(F: Callable[[complex], complex], q: Quaternion) -> Quaternion:
-    """Re F(z) + vhat Im F(z), z = q_a + i v: how a real-coefficient power
-    series acts on q.  At v = 0 it is Re F(q_a); callers reject real points
-    where Im F(q_a) != 0."""
-    v = q.imag_norm()
-    w = F(complex(q.a, v))
-    if v == 0.0:
-        return Quaternion(w.real)
-    f = w.imag / v
-    return Quaternion(w.real, f * q.b, f * q.c, f * q.d)
 

@@ -27,24 +27,24 @@ HR derivative tends to the ordinary real derivative.
 exp, ln, tanh and (q - q0)^n are intrinsic: each lifts a complex F, real on
 the real axis, to f(q) = Re F(z) + vhat Im F(z) with z = qt_a + i v.  The
 ratio term above is then Im F(z)/v, so Elementary computes the value, the
-HR derivative and (by Cauchy-Riemann, intrinsic_gradient) the full real
-gradient from cmath's F(z) and F'(z) alone.  This module is their one
-home: each is one Elementary value holding F, F' and its domain check, and
-exp_q, ln_q, tanh_q and exp/ln/tanh_derivative call those values.  The
-jets, finite differences, PowerSeriesFn and the Chebyshev form
-power_derivative are the oracles.
+HR derivative and (by Cauchy-Riemann) the full real gradient from one
+evaluation of cmath's F(z) and F'(z).  This module is their one home, and
+Elementary is the only code that forms z and maps a complex result back
+onto q's axis: each function is one Elementary value holding F, F' and
+its domain check, and exp_q, ln_q, tanh_q and exp/ln/tanh_derivative call
+those values.  The jets, finite differences, PowerSeriesFn and the
+Chebyshev form power_derivative are the oracles.
 """
 
 import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_mul
-from .quaternion import QI, QJ, QK, ZERO, Quaternion, lift, power_by_squaring
+from .quaternion import QI, QJ, QK, ZERO, Quaternion, power_by_squaring
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -207,15 +207,16 @@ def tanh_series(n_max: int = 61) -> PowerSeriesFn:
     """Truncated Maclaurin series of tanh: q - q^3/3 + 2q^5/15 - ...
 
     Coefficients are (-1)^{m-1} T_m / (2m-1)! with T_m the tangent
-    numbers, computed exactly and rounded once.  Radius of convergence is
-    pi/2, which bounds the annulus.
+    numbers, computed exactly and rounded once (int / int true division is
+    correctly rounded).  Radius of convergence is pi/2, which bounds the
+    annulus.
     """
     count = (n_max + 1) // 2
     tangents = _tangent_numbers(count)
     coeffs = {}
     for m, t in enumerate(tangents, start=1):
-        value = Fraction((-1) ** (m - 1) * t, math.factorial(2 * m - 1))
-        coeffs[2 * m - 1] = Quaternion(float(value))
+        value = (-1) ** (m - 1) * t / math.factorial(2 * m - 1)
+        coeffs[2 * m - 1] = Quaternion(value)
     return PowerSeriesFn(ZERO, coeffs, annulus=(0.0, math.pi / 2))
 
 
@@ -283,35 +284,6 @@ def ln_derivative(q: Quaternion) -> Quaternion:
 def tanh_derivative(q: Quaternion) -> Quaternion:
     """d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2."""
     return _TANH.hr_derivative(q)
-
-
-def intrinsic_gradient(F: Callable[[complex], complex],
-                       dF: Callable[[complex], complex],
-                       q: Quaternion) -> RealGradient:
-    """Real gradient of the lift f(q) = Re F(z) + vhat Im F(z), z = q_a + i v.
-
-    With x = I(q), A = Re F'(z), B = Im F'(z)/v and C = Im F(z)/v (_ratio),
-    Cauchy-Riemann gives
-
-        df/dq_a = A + x B
-        df/dx_u = -B x_u + C e_u + (x/v) ((A - C) (x_u/v)),
-
-    and at v = 0 the limits F'(q_a) and F'(q_a) e_u.  The grouping keeps
-    every factor bounded as v -> 0, where (A - C)/v^2 would underflow.
-    """
-    v = q.imag_norm()
-    if v == 0.0:
-        d = dF(complex(q.a, 0.0)).real
-        return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
-    z = complex(q.a, v)
-    df = dF(z)
-    a, b, c = df.real, df.imag / v, _ratio(F(z), df, v)
-    vhat = Quaternion(0.0, q.b / v, q.c / v, q.d / v)
-    partials = [Quaternion(a, b * q.b, b * q.c, b * q.d)]
-    for x_u, e_u in ((q.b, QI), (q.c, QJ), (q.d, QK)):
-        partials.append(Quaternion(-b * x_u) + e_u * c
-                        + vhat * ((a - c) * (x_u / v)))
-    return RealGradient(*partials)
 
 
 def ln_real_gradient(q: Quaternion) -> RealGradient:
@@ -390,23 +362,37 @@ class Elementary:
         return cls("power", lambda z: _zpow(z, n),
                    lambda z: n * _zpow(z, n - 1) if n else 0j, check, n, center)
 
-    def value(self, q: Quaternion) -> Quaternion:
+    def _at(self, q: Quaternion) -> tuple[Quaternion, float, complex]:
+        """Check q, then qt = q - center, v = |I(qt)| and z = qt_a + i v."""
         self.check(q)
-        return lift(self.F, q - self.center)
+        qt = q - self.center
+        v = qt.imag_norm()
+        return qt, v, complex(qt.a, v)
+
+    @staticmethod
+    def _on_axis(w: complex, qt: Quaternion, v: float) -> Quaternion:
+        """Re w + vhat Im w on qt's axis; Re w alone at v = 0, where the
+        domain checks leave Im F(qt_a) = 0."""
+        if v == 0.0:
+            return Quaternion(w.real)
+        f = w.imag / v
+        return Quaternion(w.real, f * qt.b, f * qt.c, f * qt.d)
+
+    def value(self, q: Quaternion) -> Quaternion:
+        qt, v, z = self._at(q)
+        return self._on_axis(self.F(z), qt, v)
 
     def hr_derivative(self, q: Quaternion) -> Quaternion:
         """d1, identical for the left and right operators.
 
         With z = qt_a + i v, qt = q - center, this is the paper's
         (f'(q) + (g(qt) - g(qt*))(qt - qt*)^-1)/2, whose ratio term is
-        Im F(z)/v:  (lift F'(qt) + Im F(z)/v)/2, and F'(qt_a) at v = 0.
+        Im F(z)/v:  (F'(z) on qt's axis + Im F(z)/v)/2, F'(qt_a) at v = 0.
         """
-        self.check(q)
-        qt = q - self.center
-        v = qt.imag_norm()
-        z = complex(qt.a, v)
-        ratio = _ratio(self.F(z), self.dF(z), v)
-        return (lift(self.dF, qt) + Quaternion(ratio)) * 0.5
+        qt, v, z = self._at(q)
+        w, df = self.F(z), self.dF(z)
+        ratio = _ratio(w, df, v)
+        return (self._on_axis(df, qt, v) + Quaternion(ratio)) * 0.5
 
     def real_derivative(self, x: float) -> float:
         """f'(x) in the ordinary real-calculus sense."""
@@ -415,13 +401,33 @@ class Elementary:
         return self.real_gradient(Quaternion(x)).dA.a
 
     def real_gradient(self, q: Quaternion) -> RealGradient:
-        """Full real gradient through the intrinsic lift.
+        """Real gradient of f(q) = Re F(z) + vhat Im F(z), z = qt_a + i v.
 
-        The value is computed first, so an overflowing value is an error
-        here too, even where F' alone would be finite.
+        With x = I(qt), A = Re F'(z), B = Im F'(z)/v and C = Im F(z)/v
+        (_ratio), Cauchy-Riemann gives
+
+            df/dq_a = A + x B
+            df/dx_u = -B x_u + C e_u + (x/v) ((A - C) (x_u/v)),
+
+        and at v = 0 the limits F'(qt_a) and F'(qt_a) e_u.  The grouping
+        keeps every factor bounded as v -> 0, where (A - C)/v^2 would
+        underflow.  The value is formed before F' is evaluated: it is an
+        error here too when it overflows.
         """
-        self.value(q)
-        return intrinsic_gradient(self.F, self.dF, q - self.center)
+        qt, v, z = self._at(q)
+        w = self.F(z)
+        self._on_axis(w, qt, v)  # raises if the value overflows
+        df = self.dF(z)
+        if v == 0.0:
+            d = df.real
+            return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
+        a, b, c = df.real, df.imag / v, _ratio(w, df, v)
+        vhat = Quaternion(0.0, qt.b / v, qt.c / v, qt.d / v)
+        partials = [Quaternion(a, b * qt.b, b * qt.c, b * qt.d)]
+        for x_u, e_u in ((qt.b, QI), (qt.c, QJ), (qt.d, QK)):
+            partials.append(Quaternion(-b * x_u) + e_u * c
+                            + vhat * ((a - c) * (x_u / v)))
+        return RealGradient(*partials)
 
 
 _EXP = Elementary("exp", cmath.exp, cmath.exp, lambda q: None)

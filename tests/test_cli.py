@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import qdist
@@ -216,6 +216,13 @@ def test_validate_consistency_prints_table(capsys):
     assert " > " in out  # the decreasing-error table rows
 
 
+def test_validate_rules_passes(capsys):
+    code, out, _ = run_cli(capsys, "validate", "rules")
+    assert code == EXIT_OK
+    assert "rules: PASS" in out
+    assert "overall: PASS" in out
+
+
 def test_validate_fd_prints_slopes(capsys):
     code, out, _ = run_cli(capsys, "validate", "fd")
     assert code == EXIT_OK
@@ -372,6 +379,55 @@ def test_qlms_run_negative_seed_with_weights(tmp_path, capsys):
     assert err.startswith("config error: ") and "seed" in err
 
 
+def test_qlms_run_negative_seed_without_weights(tmp_path, capsys):
+    # the same message as with weights: the seed is checked before the draw
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
+                        "seed=-1\n")
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
+                             str(tmp_path / "out.csv"))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == ("config error: rng_seed must be an integer >= 0, "
+                   "got -1\n")
+
+
+def test_qlms_run_noise_past_squared_divergence_limit(tmp_path, capsys):
+    # noise_power = 1e308 ran with exit 0 and wrote inf into the CSV
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("M=1\nmu=0\niterations=50\nnoise_power=1e308\n"
+                        "seed=1\n")
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
+                             str(tmp_path / "out.csv"))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("config error: noise_power ")
+
+
+_WEIGHTS_32 = ";".join(["1+0i+0j+0k"] * 32)
+
+
+@pytest.mark.parametrize("config", [
+    "M=32\nmu=0.01\niterations=10000000\nnoise_power=0\nseed=1\n",
+    "M=32\nmu=0.01\niterations=10000000\nnoise_power=0\nseed=1\n"
+    f"true_weights={_WEIGHTS_32}\n",
+    "M=100000000\nmu=0.01\niterations=1\nnoise_power=0\nseed=1\n",
+], ids=["M32-N1e7", "M32-N1e7-weights", "M1e8"])
+def test_qlms_run_size_bound_fails_before_any_draw(tmp_path, capsys,
+                                                   monkeypatch, config):
+    # 10.24 GB of inputs, or 10^8 default weights: rejected before numpy
+    # draws anything, so this test allocates nothing either way
+    def no_draw(*args, **kwargs):
+        raise AssertionError("something was drawn")
+
+    monkeypatch.setattr("numpy.random.default_rng", no_draw)
+    monkeypatch.setattr("quatgrad.qlms.run_system_identification", no_draw)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config)
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
+                             str(tmp_path / "out.csv"))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("config error: filter_length * iterations is past ")
+
+
 @pytest.mark.parametrize("output", ["missing/dir/out.csv", "."])
 def test_qlms_run_unusable_output_fails_before_the_run(tmp_path, capsys,
                                                        monkeypatch, output):
@@ -431,6 +487,37 @@ def test_qlms_run_configs_never_raise(text):
         assert math.isfinite(final)
 
 
+_NOISE_POWER = st.sampled_from([0.0, 0.01, 1e12, 1e24, 1e300, 1e308]) \
+    | st.floats(0.0, 1e308)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["0", "0.01", "5.0", "1e308"]),
+       st.integers(1, 50), _NOISE_POWER, st.integers(0, 2 ** 32),
+       st.none() | st.lists(_WEIGHT, min_size=3, max_size=3))
+@example(1, "0", 50, 1e308, 1, None)  # wrote inf into 4 squared_error rows
+def test_qlms_run_exit_0_writes_only_finite_values(m, mu, iterations,
+                                                   noise_power, seed,
+                                                   weights):
+    text = (f"M={m}\nmu={mu}\niterations={iterations}\n"
+            f"noise_power={noise_power!r}\nseed={seed}\n")
+    if weights is not None:
+        text += f"true_weights={';'.join(weights[:m])}\n"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", StabilityWarning)
+        cfg_path = Path(tmp) / "run.cfg"
+        cfg_path.write_text(text)
+        out_path = Path(tmp) / "out.csv"
+        code = main(["qlms-run", str(cfg_path), str(out_path)])
+        if code == EXIT_OK:
+            se, we = read_record_csv(out_path)
+            assert len(se) == len(we) == iterations
+            assert all(map(math.isfinite, se + we)), text
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err.getvalue()
+
+
 # -- real process end to end -----------------------------------------------------
 
 # child processes import quatgrad from the same tree as this test session
@@ -467,6 +554,19 @@ def test_subprocess_eval_grad_loads_no_numpy():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "False")
+
+
+def test_subprocess_cli_import_loads_no_fractions():
+    # tanh_series rounds int / int directly; fractions (with decimal and
+    # numbers) is not imported
+    child = (
+        "import sys\n"
+        "import quatgrad, quatgrad.cli\n"
+        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                         text=True, env=_CHILD_ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_subprocess_validate_and_qlms(tmp_path):

@@ -106,6 +106,22 @@ def test_richardson_reduces_error_on_cube(rng):
     assert sorted(improvements)[len(improvements) // 2]  # median improves
 
 
+def test_forward_richardson_is_second_order_on_cube():
+    # 2 E_{h/2} - E_h cancels the forward scheme's O(h) term
+    q = Quaternion(0.4, 0.3, -0.2, 0.6)
+    ref = jet_pow(jet_seed(q), 3).grad
+    steps = [1e-2 / 2 ** i for i in range(5)]
+    logs = []
+    for h in steps:
+        rich = gradient_error(real_partials_fd(
+            lambda z: z ** 3, q, FDConfig(h, "forward", richardson=True)), ref)
+        plain = gradient_error(real_partials_fd(
+            lambda z: z ** 3, q, FDConfig(h, "forward")), ref)
+        assert rich <= 0.01 * plain
+        logs.append((math.log(h), math.log(rich)))
+    assert 1.8 <= least_squares_slope(*zip(*logs)) <= 2.2
+
+
 def test_convergence_order_central_cube():
     q = Quaternion(0.4, 0.3, -0.2, 0.6)
     ref = jet_pow(jet_seed(q), 3).grad

@@ -13,6 +13,7 @@ from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       predict, read_record_csv, real_valued_reduce,
                       run_system_identification, update_step,
                       write_record_csv)
+from quatgrad.qlms import MAX_TAP_ITERATIONS
 
 
 def _state(weights, mu=0.1):
@@ -227,6 +228,40 @@ def test_config_accepts_huge_seed():
     record = run_system_identification(
         _config(rng_seed=2 ** 200, step_size=0.01, iterations=3))
     assert len(record.squared_error) == 3
+
+
+def test_config_bounds_noise_power_by_squared_divergence_limit():
+    _config(noise_power=DIVERGENCE_LIMIT ** 2)
+    for power in (2 * DIVERGENCE_LIMIT ** 2, 1e308):
+        with pytest.raises(ValueError, match="noise_power"):
+            _config(noise_power=power)
+
+
+def test_config_bounds_tap_iterations():
+    # construction only: nothing is drawn
+    _config(filter_length=32, true_weights=(ONE,) * 32, iterations=400_000)
+    _config(filter_length=1, true_weights=(ONE,),
+            iterations=MAX_TAP_ITERATIONS)
+    for m, n in ((32, 10_000_000), (1, MAX_TAP_ITERATIONS + 1)):
+        with pytest.raises(ValueError, match="filter_length \\* iterations"):
+            _config(filter_length=m, true_weights=(ONE,) * m, iterations=n)
+
+
+def test_drawn_weights_checked_before_the_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("something was drawn")
+
+    monkeypatch.setattr("numpy.random.default_rng", no_draw)
+    for bad in (dict(rng_seed=-1), dict(filter_length=10 ** 8),
+                dict(noise_power=1e308), dict(step_size=math.nan)):
+        with pytest.raises(ValueError):
+            _config(true_weights=None, **bad)
+
+
+def test_drawn_weights_are_seeded_standard_normal():
+    cfg = _config(filter_length=3, true_weights=None, rng_seed=5)
+    draws = np.random.default_rng([5, 1]).standard_normal((3, 4))
+    assert cfg.true_weights == tuple(Quaternion(*row) for row in draws)
 
 
 def test_config_rejects_true_weights_past_divergence_limit():

@@ -456,3 +456,28 @@ def test_elementary_values_are_built_once():
     assert Elementary.exp() != Elementary.ln()
     assert repr(Elementary.power(-2, ONE)) == \
         f"Elementary(kind='power', n=-2, center={ONE!r})"
+
+
+@pytest.mark.parametrize("q", [Quaternion(0.3, 0.4, -0.2, 0.1),
+                               Quaternion(0.3)], ids=["v>0", "v=0"])
+def test_each_route_evaluates_the_lift_once(q):
+    # (F, F') calls per route on a directly built Elementary
+    calls = {"F": 0, "dF": 0}
+
+    def counted(name, g):
+        def wrapped(z):
+            calls[name] += 1
+            return g(z)
+        return wrapped
+
+    center = Quaternion(-0.5, 0.1)
+    fn = Elementary("power", counted("F", lambda z: z ** 3),
+                    counted("dF", lambda z: 3 * z ** 2), lambda q: None, 3,
+                    center)
+    counts = {}
+    for route in ("value", "hr_derivative", "real_gradient"):
+        calls.update(F=0, dF=0)
+        getattr(fn, route)(q + center)
+        counts[route] = (calls["F"], calls["dF"])
+    assert counts == {"value": (1, 0), "hr_derivative": (1, 1),
+                      "real_gradient": (1, 1)}
