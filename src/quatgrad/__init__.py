@@ -19,8 +19,8 @@ from .fd import (FDConfig, convergence_order, default_step, gradient_error,
 from .hr import (HRGradient, IDENTITY_GRADIENT, JACOBIAN, QJet, RealGradient,
                  Side, chain_matrix_components, chain_matrix_involutions,
                  chain_rule_first, chain_rule_second, chain_rule_third,
-                 differential, jet_const, jet_exp, jet_pow, jet_seed,
-                 jet_tanh, left_from_real, product_rule_first,
+                 differential, hr_from_real, jet_const, jet_exp, jet_pow,
+                 jet_seed, jet_tanh, left_from_real, product_rule_first,
                  product_rule_first_right, qmat_conj_transpose,
                  qmat_from_real, qmat_mul, qmat_scale, real_from_left,
                  real_from_right, real_jacobian, real_valued_reduce,

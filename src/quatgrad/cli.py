@@ -8,11 +8,12 @@ beyond the float range), 3 validation-suite failure, 4 divergent QLMS run.
 import argparse
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from . import qlms
 from .errors import NonFiniteComponent
-from .hr import left_from_real, right_from_real
+from .hr import Side, hr_from_real
 from .quaternion import Quaternion
 from .regular import Elementary
 
@@ -104,7 +105,7 @@ def _cmd_eval_grad(args) -> int:
         return EXIT_PARSE
     try:
         grad = fn.real_gradient(point)
-        h = (left_from_real if args.side == "left" else right_from_real)(grad)
+        h = hr_from_real(grad, Side(args.side))
     except (OverflowError, NonFiniteComponent):
         print(f"domain error: {args.function} at q = {point}: the result is "
               "beyond the float range", file=sys.stderr)
@@ -192,7 +193,14 @@ def _cmd_qlms_run(args) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    record = qlms.run_system_identification(cfg)
+    # a shown StabilityWarning is one "warning: <message>" line, not
+    # Python's file:line format; filters and recorders still apply
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        record = qlms.run_system_identification(cfg)
+    finally:
+        warnings.formatwarning = default_format
     qlms.write_record_csv(record, args.output)
     print(f"wrote {args.output} ({len(record.squared_error)} iterations)")
     if record.diverged:

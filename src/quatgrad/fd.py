@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .hr import HRGradient, RealGradient, Side, left_from_real, right_from_real
+from .hr import HRGradient, RealGradient, Side, hr_from_real
 from .quaternion import ONE, QI, QJ, QK, Quaternion
 
 _AXES = (ONE, QI, QJ, QK)
@@ -66,8 +66,7 @@ def hr_gradient_fd(f: QuatFn, q: Quaternion, cfg: FDConfig,
                    side: Side = Side.LEFT) -> HRGradient:
     """Finite-difference HR gradient: real partials composed with the
     left/right conversion."""
-    g = real_partials_fd(f, q, cfg)
-    return left_from_real(g) if side is Side.LEFT else right_from_real(g)
+    return hr_from_real(real_partials_fd(f, q, cfg), side)
 
 
 def rel_error(x: Quaternion, y: Quaternion) -> float:

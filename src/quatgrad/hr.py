@@ -23,11 +23,11 @@ yields exact real partials, converted to HR form at the end.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import NotRealValued, SideMismatch
-from .quaternion import ONE, QI, QJ, QK, ZERO, AxisUnit, Quaternion
-
-_REAL_VALUED_TOL = 1e-10
+from .quaternion import (ONE, QI, QJ, QK, RESIDUE_TOL, ZERO, AxisUnit,
+                         Quaternion)
 
 
 class Side(Enum):
@@ -91,7 +91,10 @@ def side_mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
     return p * q if side is Side.LEFT else q * p
 
 
-def _hr_from_real(g: RealGradient, side: Side) -> HRGradient:
+def hr_from_real(g: RealGradient, side: Side) -> HRGradient:
+    """The restricted HR gradient of the given side from the real partials:
+    the units multiply each partial from the right for the left operator,
+    from the left for the right one."""
     dA, dB, dC, dD = g.as_tuple()
     bi, cj, dk = (side_mul(side, dB, QI), side_mul(side, dC, QJ),
                   side_mul(side, dD, QK))
@@ -104,17 +107,8 @@ def _hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     )
 
 
-def left_from_real(g: RealGradient) -> HRGradient:
-    """Left restricted HR gradient: units multiply each partial from the right."""
-    return _hr_from_real(g, Side.LEFT)
-
-
-def right_from_real(g: RealGradient) -> HRGradient:
-    """Right restricted HR gradient: units multiply each partial from the left."""
-    return _hr_from_real(g, Side.RIGHT)
-
-
 def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
+    """Invert hr_from_real via the identity (grad_q f) J = (1/4) grad_r f."""
     _require_side(h, side, f"real_from_{side.value}")
     d1, dI, dJ, dK = h.as_tuple()
     return RealGradient(
@@ -125,14 +119,14 @@ def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
     )
 
 
-def real_from_left(h: HRGradient) -> RealGradient:
-    """Invert left_from_real via the identity (grad_q f) J = (1/4) grad_r f."""
-    return _real_from_hr(h, Side.LEFT)
-
-
-def real_from_right(h: HRGradient) -> RealGradient:
-    """Inverse of right_from_real; units multiply from the left."""
-    return _real_from_hr(h, Side.RIGHT)
+#: Left restricted HR gradient: units multiply each partial from the right.
+left_from_real = partial(hr_from_real, side=Side.LEFT)
+#: Right restricted HR gradient: units multiply each partial from the left.
+right_from_real = partial(hr_from_real, side=Side.RIGHT)
+#: Inverse of left_from_real; rejects a right gradient.
+real_from_left = partial(_real_from_hr, side=Side.LEFT)
+#: Inverse of right_from_real; rejects a left gradient.
+real_from_right = partial(_real_from_hr, side=Side.RIGHT)
 
 
 def differential(h: HRGradient, dq: Quaternion) -> Quaternion:
@@ -301,7 +295,7 @@ def jet_pow(x: QJet, n: int) -> QJet:
     return result
 
 
-def jet_exp(x: QJet, *, max_terms: int = 200) -> QJet:
+def jet_exp(x: QJet) -> QJet:
     """exp of a jet by scaled power series plus repeated squaring.
 
     The argument is halved until its norm is below 1/2, the series is summed
@@ -316,7 +310,7 @@ def jet_exp(x: QJet, *, max_terms: int = 200) -> QJet:
     h = x * (0.5 ** halvings)
     acc = jet_const(ONE)
     term = jet_const(ONE)
-    for n in range(1, max_terms + 1):
+    for n in range(1, 201):  # a cap: |h| <= 1/2 breaks out by n = 15
         term = term * h * (1.0 / n)
         acc = acc + term
         if term.value.norm() <= 1e-16 * max(1.0, acc.value.norm()):
@@ -341,6 +335,17 @@ def jet_tanh(x: QJet) -> QJet:
 # Product rules
 # ---------------------------------------------------------------------------
 
+def _product_rule(side: Side, inner_val: Quaternion, inner_grad: RealGradient,
+                  outer_val: Quaternion, outer_hr: HRGradient) -> HRGradient:
+    """Part n = inner outer_hr[n] + corr[n], multiplied in side order, with
+    corr the side's conversion of the partials (d inner) outer."""
+    corr = hr_from_real(RealGradient(*(side_mul(side, p, outer_val)
+                                       for p in inner_grad.as_tuple())), side)
+    parts = tuple(side_mul(side, inner_val, on) + cn
+                  for on, cn in zip(outer_hr.as_tuple(), corr.as_tuple()))
+    return HRGradient(*parts, side)
+
+
 def product_rule_first(f_val: Quaternion, f_grad: RealGradient,
                        g_val: Quaternion, g_left: HRGradient) -> HRGradient:
     """Left HR gradient of the product fg.
@@ -351,11 +356,7 @@ def product_rule_first(f_val: Quaternion, f_grad: RealGradient,
     left_from_real.  Matches the jet-propagated gradient of fg.
     """
     _require_side(g_left, Side.LEFT, "product_rule_first")
-    corr = left_from_real(
-        RealGradient(*(p * g_val for p in f_grad.as_tuple())))
-    parts = tuple(f_val * gn + cn
-                  for gn, cn in zip(g_left.as_tuple(), corr.as_tuple()))
-    return HRGradient(*parts, Side.LEFT)
+    return _product_rule(Side.LEFT, f_val, f_grad, g_val, g_left)
 
 
 def product_rule_first_right(f_right: HRGradient, g_val: Quaternion,
@@ -365,25 +366,25 @@ def product_rule_first_right(f_right: HRGradient, g_val: Quaternion,
         [grad^R_q(fg)]^T = [(grad^R_q f) g]^T + J* [f (grad_r g)^T]
     """
     _require_side(f_right, Side.RIGHT, "product_rule_first_right")
-    corr = right_from_real(
-        RealGradient(*(f_val * p for p in g_grad.as_tuple())))
-    parts = tuple(fn * g_val + cn
-                  for fn, cn in zip(f_right.as_tuple(), corr.as_tuple()))
-    return HRGradient(*parts, Side.RIGHT)
+    return _product_rule(Side.RIGHT, g_val, g_grad, f_val, f_right)
 
 
 # ---------------------------------------------------------------------------
 # Chain rules
 # ---------------------------------------------------------------------------
 
-def chain_matrix_involutions(g_grad: RealGradient) -> QMatrix:
+def chain_matrix_involutions(g_grad: RealGradient,
+                             side: Side = Side.LEFT) -> QMatrix:
     """M with M[mu][nu] = d(g^mu)/d(q^nu), assembled from involutions of
     the real partials of g (involution is R-linear, so the partials of
-    g^mu are the mu-involutions of the partials of g)."""
-    rows = []
-    for axis in (AxisUnit.ONE, AxisUnit.I, AxisUnit.J, AxisUnit.K):
-        rows.append(left_from_real(g_grad.involution(axis)).as_tuple())
-    return _qmat(rows)
+    g^mu are the mu-involutions of the partials of g).
+
+    The rows are side HR gradients, and side must match the outer
+    gradient's side in chain_rule_first: a left matrix under a right outer
+    gradient composes to a wrong result.
+    """
+    return _qmat(hr_from_real(g_grad.involution(axis), side).as_tuple()
+                 for axis in (AxisUnit.ONE, AxisUnit.I, AxisUnit.J, AxisUnit.K))
 
 
 def chain_matrix_components(g_grad: RealGradient) -> QMatrix:
@@ -393,7 +394,7 @@ def chain_matrix_components(g_grad: RealGradient) -> QMatrix:
     for phi in range(4):
         component_grad = RealGradient(
             *(Quaternion((p.a, p.b, p.c, p.d)[phi]) for p in g_grad.as_tuple()))
-        rows.append(left_from_real(component_grad).as_tuple())
+        rows.append(hr_from_real(component_grad, Side.LEFT).as_tuple())
     return _qmat(rows)
 
 
@@ -435,7 +436,7 @@ def chain_rule_second(outer_real: RealGradient, o: QMatrix,
 
 
 def _check_real_valued(h: HRGradient, what: str) -> None:
-    tol = _REAL_VALUED_TOL * max(1.0, abs(h.d1))
+    tol = RESIDUE_TOL * max(1.0, abs(h.d1))
     for axis, partial in zip((AxisUnit.I, AxisUnit.J, AxisUnit.K),
                              (h.dI, h.dJ, h.dK)):
         residue = abs(partial - h.d1.involution(axis))

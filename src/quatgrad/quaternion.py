@@ -21,7 +21,9 @@ from enum import Enum
 
 from .errors import InconsistentQuadruple, NonFiniteComponent
 
-_QUADRUPLE_TOL = 1e-10
+#: A residue that is zero in exact arithmetic is rounding up to this much,
+#: relative to max(1, |.|) of the value it is measured against.
+RESIDUE_TOL = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +226,7 @@ def components_from_involutions(q: Quaternion, qi: Quaternion, qj: Quaternion,
         (QJ * (q - qi + qj - qk)) * -0.25,
         (QK * (q - qi - qj + qk)) * -0.25,
     )
-    tol = _QUADRUPLE_TOL * max(1.0, abs(q))
+    tol = RESIDUE_TOL * max(1.0, abs(q))
     for name, value in zip("abcd", recovered):
         if value.imag_norm() > tol:
             raise InconsistentQuadruple(

@@ -31,8 +31,8 @@ HR derivative and (by Cauchy-Riemann) the full real gradient from one
 evaluation of cmath's F(z) and F'(z).  This module is their one home, and
 Elementary is the only code that forms z and maps a complex result back
 onto q's axis: each function is one Elementary value holding F, F' and
-its domain check, and exp_q, ln_q, tanh_q and exp/ln/tanh_derivative call
-those values.  The jets, finite differences, PowerSeriesFn and the
+its domain check, and exp_q, ln_q, tanh_q and exp/ln/tanh_derivative are
+bound to those values.  The jets, finite differences, PowerSeriesFn and the
 Chebyshev form power_derivative are the oracles.
 """
 
@@ -252,45 +252,6 @@ def _check_tanh(q: Quaternion) -> None:
         raise PoleError(f"tanh pole: |cosh q|^2 = {den:.3e} at q = {q}")
 
 
-def exp_q(q: Quaternion) -> Quaternion:
-    """exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0."""
-    return _EXP.value(q)
-
-
-def ln_q(q: Quaternion) -> Quaternion:
-    """Principal logarithm ln(q) = ln|q| + vhat * arccos(q_a/|q|).
-
-    On the real axis with q_a <= 0 there is no axis to carry the imaginary
-    term, so the branch point is rejected.
-    """
-    return _LN.value(q)
-
-
-def tanh_q(q: Quaternion) -> Quaternion:
-    """tanh(q) = (e^q - e^-q)(e^q + e^-q)^-1, rejected near its poles."""
-    return _TANH.value(q)
-
-
-def exp_derivative(q: Quaternion) -> Quaternion:
-    """d(e^q)/dq = (e^q + e^{q_a} sin(v)/v) / 2, with sin(v)/v -> 1 at v=0."""
-    return _EXP.hr_derivative(q)
-
-
-def ln_derivative(q: Quaternion) -> Quaternion:
-    """d(ln q)/dq = (q^-1 + arccos(q_a/|q|)/v) / 2, 1/q_a at v = 0."""
-    return _LN.hr_derivative(q)
-
-
-def tanh_derivative(q: Quaternion) -> Quaternion:
-    """d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2."""
-    return _TANH.hr_derivative(q)
-
-
-def ln_real_gradient(q: Quaternion) -> RealGradient:
-    """Real gradient of the principal ln at q, through the intrinsic lift."""
-    return _LN.real_gradient(q)
-
-
 def _zpow(z: complex, n: int) -> complex:
     """z^n by squaring: past |n| = 100 CPython's z ** n takes the polar form,
     whose phase error ~ n pi 2^-53 swamps Im z^n next to the negative real
@@ -435,6 +396,22 @@ _LN = Elementary("ln", cmath.log, lambda z: 1 / z, _check_ln)
 _TANH = Elementary("tanh", cmath.tanh, lambda z: 1 - cmath.tanh(z) ** 2,
                    _check_tanh)
 _NAMED = {fn.kind: fn for fn in (_EXP, _LN, _TANH)}
+
+#: exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0.
+exp_q = _EXP.value
+#: Principal logarithm ln(q) = ln|q| + vhat * arccos(q_a/|q|); the branch
+#: point (q real with q_a <= 0, no axis for the imaginary term) is rejected.
+ln_q = _LN.value
+#: tanh(q) = (e^q - e^-q)(e^q + e^-q)^-1, rejected near its poles.
+tanh_q = _TANH.value
+#: d(e^q)/dq = (e^q + e^{q_a} sin(v)/v) / 2, with sin(v)/v -> 1 at v=0.
+exp_derivative = _EXP.hr_derivative
+#: d(ln q)/dq = (q^-1 + arccos(q_a/|q|)/v) / 2, 1/q_a at v = 0.
+ln_derivative = _LN.hr_derivative
+#: d(tanh q)/dq = (sech^2 q + sin(2v)/(v (cosh 2q_a + cos 2v))) / 2.
+tanh_derivative = _TANH.hr_derivative
+#: Real gradient of the principal ln at q, through the intrinsic lift.
+ln_real_gradient = _LN.real_gradient
 
 
 def real_axis_limit_check(fn: Elementary, q_a: float, v_sequence,

@@ -216,6 +216,13 @@ def test_validate_consistency_prints_table(capsys):
     assert " > " in out  # the decreasing-error table rows
 
 
+def test_validate_consistency_follows_seed(capsys):
+    tables = [run_cli(capsys, "validate", "consistency", "--seed", seed)
+              for seed in ("1", "2")]
+    assert all(code == EXIT_OK for code, _, _ in tables)
+    assert tables[0][1] != tables[1][1]
+
+
 def test_validate_rules_passes(capsys):
     code, out, _ = run_cli(capsys, "validate", "rules")
     assert code == EXIT_OK
@@ -567,6 +574,22 @@ def test_subprocess_cli_import_loads_no_fractions():
                          text=True, env=_CHILD_ENV)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_subprocess_qlms_run_stability_warning_is_one_line(tmp_path):
+    # the README config: mu = 0.05 is past the guard 0.03115, yet converges
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
+                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    out = tmp_path / "out.csv"
+    run = subprocess.run([sys.executable, "-m", "quatgrad", "qlms-run",
+                          str(cfg), str(out)],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("warning: step size")
+    assert "cli.py" not in run.stderr
+    assert run.stdout.startswith(f"wrote {out} (2000 iterations)\n")
 
 
 def test_subprocess_validate_and_qlms(tmp_path):

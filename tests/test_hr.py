@@ -10,8 +10,8 @@ from quatgrad import (AxisUnit, HRGradient, IDENTITY_GRADIENT, JACOBIAN,
                       RealGradient, Side, SideMismatch, ZERO,
                       chain_matrix_components, chain_matrix_involutions,
                       chain_rule_first, chain_rule_second, chain_rule_third,
-                      differential, exp_q, jet_const, jet_exp, jet_pow,
-                      jet_seed, left_from_real, product_rule_first,
+                      differential, exp_q, hr_from_real, jet_const, jet_exp,
+                      jet_pow, jet_seed, left_from_real, product_rule_first,
                       product_rule_first_right, qmat_conj_transpose,
                       qmat_from_real, qmat_mul, qmat_scale, real_from_left,
                       real_from_right, real_jacobian, real_valued_reduce,
@@ -424,6 +424,23 @@ def test_chain_rule_first_vs_jet_composition(rng):
         outer = left_from_real(f_of(jet_seed(g_jet.value)).grad)
         via = chain_rule_first(outer, chain_matrix_involutions(g_jet.grad))
         assert grad_dist(direct, via) <= 1e-11
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_chain_rule_first_vs_jets_on_both_sides(rng, side):
+    # chain_matrix_involutions builds rows of the outer gradient's side
+    for _ in range(50):
+        q = rand_quat(rng)
+        a, b, c = rand_quat(rng), rand_quat(rng), rand_quat(rng)
+        g_jet = a * jet_seed(q) * b + c * jet_seed(q) * jet_seed(q)
+        f_of = lambda jet: jet * jet
+        direct = hr_from_real(f_of(g_jet).grad, side)
+        outer = hr_from_real(f_of(jet_seed(g_jet.value)).grad, side)
+        via = chain_rule_first(outer,
+                               chain_matrix_involutions(g_jet.grad, side))
+        assert via.side is side
+        scale = max(1.0, *(abs(p) for p in direct.as_tuple()))
+        assert grad_dist(direct, via) <= 1e-11 * scale
 
 
 def test_chain_rule_second_matches_first(rng):

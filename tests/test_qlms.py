@@ -200,6 +200,13 @@ def _config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def test_filter_state_rejects_no_taps_and_negative_step():
+    with pytest.raises(ValueError, match="at least one tap"):
+        FilterState((), 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        FilterState((ZERO,), -0.1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(filter_length=0)

@@ -64,6 +64,10 @@ def test_symmetric_ratio_zero_point():
     assert symmetric_ratio(ZERO, 2) == 0.0
 
 
+def test_symmetric_ratio_order_zero_away_from_zero():
+    assert symmetric_ratio(Quaternion(0.3, 0.4), 0) == 0.0
+
+
 # -- power derivatives ---------------------------------------------------------
 
 def test_power_derivative_small_n(rng):
@@ -200,6 +204,14 @@ def test_annulus_enforcement():
     # nonnegative powers are valid at the center despite annulus[0] > 0
     g = PowerSeriesFn(ZERO, {0: ONE, 2: ONE}, annulus=(0.5, 2.0))
     assert g.evaluate(ZERO) == ONE
+
+
+def test_power_series_rejects_empty_coefficients_and_bad_annulus():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        PowerSeriesFn(ZERO, {})
+    for annulus in ((-0.1, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="invalid annulus"):
+            PowerSeriesFn(ZERO, {1: ONE}, annulus=annulus)
 
 
 # -- elementary closed forms ---------------------------------------------------
@@ -419,6 +431,11 @@ def test_elementary_power_value_and_real_derivative():
     assert fn.hr_derivative(Quaternion(2)) == Quaternion(3.0)
     with pytest.raises(ZeroDivisionError):
         Elementary.power(-1).value(ZERO)
+
+
+def test_real_derivative_needs_a_real_center():
+    with pytest.raises(ValueError, match="real center"):
+        Elementary.power(2, Quaternion(1.0, 0.5)).real_derivative(2.0)
 
 
 def test_elementary_tanh_value_matches_quotient():
