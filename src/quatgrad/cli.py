@@ -199,6 +199,9 @@ def _cmd_qlms_run(args) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         record = qlms.run_system_identification(cfg)
+    except qlms.StabilityWarning as exc:  # raised under -W error
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     finally:
         warnings.formatwarning = default_format
     qlms.write_record_csv(record, args.output)

@@ -27,7 +27,7 @@ from functools import partial
 
 from .errors import NotRealValued, SideMismatch
 from .quaternion import (ONE, QI, QJ, QK, RESIDUE_TOL, ZERO, AxisUnit,
-                         Quaternion)
+                         Quaternion, _UNITS4, _hamilton, _raw)
 
 
 class Side(Enum):
@@ -91,31 +91,48 @@ def side_mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
     return p * q if side is Side.LEFT else q * p
 
 
+def _side_mul4(side: Side, p, q) -> tuple[float, float, float, float]:
+    """side_mul on float 4-tuples."""
+    return _hamilton(p, q) if side is Side.LEFT else _hamilton(q, p)
+
+
+def _floats(q: Quaternion) -> tuple[float, float, float, float]:
+    return (q.a, q.b, q.c, q.d)
+
+
 def hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     """The restricted HR gradient of the given side from the real partials:
     the units multiply each partial from the right for the left operator,
-    from the left for the right one."""
-    dA, dB, dC, dD = g.as_tuple()
-    bi, cj, dk = (side_mul(side, dB, QI), side_mul(side, dC, QJ),
-                  side_mul(side, dD, QK))
+    from the left for the right one.
+
+    It works on float 4-tuples with the products and sums of the Quaternion
+    form (dA - dB i - dC j - dD k)/4, ... in their order, zero terms
+    included, so every bit and sign of zero is the same; only the four
+    parts are built as Quaternions, checked finite."""
+    dA = _floats(g.dA)
+    bi, cj, dk = (_side_mul4(side, _floats(p), unit)
+                  for p, unit in zip((g.dB, g.dC, g.dD), _UNITS4))
+    cols = tuple(zip(dA, bi, cj, dk))
     return HRGradient(
-        (dA - bi - cj - dk) * 0.25,
-        (dA - bi + cj + dk) * 0.25,
-        (dA + bi - cj + dk) * 0.25,
-        (dA + bi + cj - dk) * 0.25,
+        _raw(*[(a - b - c - d) * 0.25 for a, b, c, d in cols]),
+        _raw(*[(a - b + c + d) * 0.25 for a, b, c, d in cols]),
+        _raw(*[(a + b - c + d) * 0.25 for a, b, c, d in cols]),
+        _raw(*[(a + b + c - d) * 0.25 for a, b, c, d in cols]),
         side,
     )
 
 
 def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
-    """Invert hr_from_real via the identity (grad_q f) J = (1/4) grad_r f."""
+    """Invert hr_from_real via the identity (grad_q f) J = (1/4) grad_r f,
+    computed like it on float 4-tuples in the Quaternion form's order."""
     _require_side(h, side, f"real_from_{side.value}")
-    d1, dI, dJ, dK = h.as_tuple()
+    cols = tuple(zip(*(_floats(p) for p in h.as_tuple())))
+    i, j, k = _UNITS4
     return RealGradient(
-        d1 + dI + dJ + dK,
-        side_mul(side, d1 + dI - dJ - dK, QI),
-        side_mul(side, d1 - dI + dJ - dK, QJ),
-        side_mul(side, d1 - dI - dJ + dK, QK),
+        _raw(*[a + b + c + d for a, b, c, d in cols]),
+        _raw(*_side_mul4(side, [a + b - c - d for a, b, c, d in cols], i)),
+        _raw(*_side_mul4(side, [a - b + c - d for a, b, c, d in cols], j)),
+        _raw(*_side_mul4(side, [a - b - c + d for a, b, c, d in cols], k)),
     )
 
 

@@ -12,6 +12,12 @@ q^nu = -nu q nu, recovery of the real components from an involution
 quadruple, the polar decomposition q = a + v*vhat, and a text form
 "a+bi+cj+dk" used by the CLI and test fixtures.  It is only the number
 type: exp, ln, tanh and (q - c)^n of a quaternion live in regular.
+
+Public construction, Quaternion(a, b, c, d), coerces every component to a
+Python float and rejects NaN and infinity.  Arithmetic results skip the
+coercion (their components are Python floats already) but are still
+checked finite: they are built by the trusted _raw, which raises the same
+NonFiniteComponent.
 """
 
 import math
@@ -32,7 +38,10 @@ class Quaternion:
 
     All arithmetic returns new instances; values are safe to share across
     threads.  Public construction stores each component as a Python float
-    and rejects NaN and infinity.
+    (a numpy scalar is converted) and rejects NaN and infinity.  Results of
+    conjugate(), inverse(), involution() and + - * / come from _raw: their
+    components are Python floats by construction (a scalar operand is
+    converted with float() first), and they are checked finite all the same.
     """
 
     a: float
@@ -53,7 +62,7 @@ class Quaternion:
     # -- basic structure ------------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        return _raw(self.a, -self.b, -self.c, -self.d)
 
     def norm_sq(self) -> float:
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
@@ -73,64 +82,64 @@ class Quaternion:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroDivisionError("inverse of the zero quaternion")
-        return Quaternion(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)
+        return _raw(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.a + other.a, self.b + other.b,
-                              self.c + other.c, self.d + other.d)
+            return _raw(self.a + other.a, self.b + other.b,
+                        self.c + other.c, self.d + other.d)
         if isinstance(other, (int, float)):
-            return Quaternion(self.a + other, self.b, self.c, self.d)
+            other = float(other)
+            return _raw(self.a + other, self.b, self.c, self.d)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.a - other.a, self.b - other.b,
-                              self.c - other.c, self.d - other.d)
+            return _raw(self.a - other.a, self.b - other.b,
+                        self.c - other.c, self.d - other.d)
         if isinstance(other, (int, float)):
-            return Quaternion(self.a - other, self.b, self.c, self.d)
+            other = float(other)
+            return _raw(self.a - other, self.b, self.c, self.d)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(other - self.a, -self.b, -self.c, -self.d)
+            other = float(other)
+            return _raw(other - self.a, -self.b, -self.c, -self.d)
         return NotImplemented
 
     def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        return _raw(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
         """Hamilton product; reals commute with everything."""
         if isinstance(other, Quaternion):
-            a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-            return Quaternion(
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            )
+            return _raw(*_hamilton((self.a, self.b, self.c, self.d),
+                                   (other.a, other.b, other.c, other.d)))
         if isinstance(other, (int, float)):
-            return Quaternion(self.a * other, self.b * other,
-                              self.c * other, self.d * other)
+            other = float(other)
+            return _raw(self.a * other, self.b * other,
+                        self.c * other, self.d * other)
         return NotImplemented
 
     def __rmul__(self, other):
         # only reached for real scalars; quaternion*quaternion uses __mul__
         if isinstance(other, (int, float)):
-            return Quaternion(self.a * other, self.b * other,
-                              self.c * other, self.d * other)
+            other = float(other)
+            return _raw(self.a * other, self.b * other,
+                        self.c * other, self.d * other)
         return NotImplemented
 
     def __truediv__(self, other):
         # division by a quaternion is ambiguous (left vs right); use inverse()
         if isinstance(other, (int, float)):
-            return Quaternion(self.a / other, self.b / other,
-                              self.c / other, self.d / other)
+            other = float(other)
+            return _raw(self.a / other, self.b / other,
+                        self.c / other, self.d / other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -148,10 +157,10 @@ class Quaternion:
         if axis is AxisUnit.ONE:
             return self
         if axis is AxisUnit.I:
-            return Quaternion(self.a, self.b, -self.c, -self.d)
+            return _raw(self.a, self.b, -self.c, -self.d)
         if axis is AxisUnit.J:
-            return Quaternion(self.a, -self.b, self.c, -self.d)
-        return Quaternion(self.a, -self.b, -self.c, self.d)
+            return _raw(self.a, -self.b, self.c, -self.d)
+        return _raw(self.a, -self.b, -self.c, self.d)
 
     # -- text form ---------------------------------------------------------
 
@@ -171,6 +180,44 @@ class Quaternion:
                              "(expected a+bi+cj+dk with all four components)")
         return cls(float(m.group(1)), float(m.group(2)),
                    float(m.group(3)), float(m.group(4)))
+
+
+_new = object.__new__
+_set_a, _set_b, _set_c, _set_d = (Quaternion.__dict__[name].__set__
+                                  for name in "abcd")
+
+
+def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
+    """A Quaternion from four Python floats, without the public coercion.
+
+    x * 0.0 is +-0.0 for finite x and nan for inf or nan, so the one sum
+    below is nonzero exactly when a component is not finite; the error then
+    names the first such component, as public construction does.
+    """
+    if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
+        x = next(x for x in (a, b, c, d) if not math.isfinite(x))
+        raise NonFiniteComponent(f"non-finite quaternion component: {x!r}")
+    q = _new(Quaternion)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_c(q, c)
+    _set_d(q, d)
+    return q
+
+
+def _hamilton(x, y) -> tuple[float, float, float, float]:
+    """The Hamilton product x y of two float 4-tuples (a, b, c, d); the one
+    formula, which Quaternion.__mul__ applies to its components."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+#: The units i, j, k as float 4-tuples, for the kernels that work on those.
+_UNITS4 = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"

@@ -44,7 +44,8 @@ from typing import Callable
 
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_mul
-from .quaternion import QI, QJ, QK, ZERO, Quaternion, power_by_squaring
+from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _UNITS4, _raw,
+                         power_by_squaring)
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -383,11 +384,16 @@ class Elementary:
             d = df.real
             return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
         a, b, c = df.real, df.imag / v, _ratio(w, df, v)
-        vhat = Quaternion(0.0, qt.b / v, qt.c / v, qt.d / v)
-        partials = [Quaternion(a, b * qt.b, b * qt.c, b * qt.d)]
-        for x_u, e_u in ((qt.b, QI), (qt.c, QJ), (qt.d, QK)):
-            partials.append(Quaternion(-b * x_u) + e_u * c
-                            + vhat * ((a - c) * (x_u / v)))
+        vhat = (0.0, qt.b / v, qt.c / v, qt.d / v)
+        partials = [_raw(a, b * qt.b, b * qt.c, b * qt.d)]
+        # (-b x_u) + e_u c + vhat s, s = (A - C)(x_u/v), on float 4-tuples
+        # with every term of the Quaternion form, 0.0 c and 0.0 + ...
+        # included: they fix the signs of zero components
+        for x_u, e_u in zip((qt.b, qt.c, qt.d), _UNITS4):
+            s = (a - c) * (x_u / v)
+            partials.append(_raw(*[
+                (x + e * c) + h * s
+                for x, e, h in zip((-b * x_u, 0.0, 0.0, 0.0), e_u, vhat)]))
         return RealGradient(*partials)
 
 

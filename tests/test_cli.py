@@ -592,6 +592,23 @@ def test_subprocess_qlms_run_stability_warning_is_one_line(tmp_path):
     assert run.stdout.startswith(f"wrote {out} (2000 iterations)\n")
 
 
+def test_subprocess_qlms_run_warning_as_error_is_one_line(tmp_path):
+    # -W error raises the StabilityWarning: a config error, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
+                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    out = tmp_path / "out.csv"
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "quatgrad",
+                          "qlms-run", str(cfg), str(out)],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == EXIT_PARSE, run.stderr
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("config error: step size 0.05 exceeds "
+                                 "the stability guard")
+    assert run.stdout == "" and out.read_text() == ""
+
+
 def test_subprocess_validate_and_qlms(tmp_path):
     base = [sys.executable, "-m", "quatgrad"]
     val = subprocess.run(base + ["validate", "series"],

@@ -296,3 +296,61 @@ def test_isclose():
     q = Quaternion(1, 2, 3, 4)
     assert isclose(q, q + Quaternion(1e-14))
     assert not isclose(q, q + Quaternion(1e-3))
+
+
+# -- arithmetic results (the trusted constructor) ---------------------------------
+
+def _components(q):
+    return (q.a, q.b, q.c, q.d)
+
+
+def test_numpy_scalar_operand_gives_python_float_components():
+    q, s = Quaternion(1.0, -2.0, 3.0, -4.0), np.float64(2.5)
+    results = (q + s, s + q, q - s, s - q, q * s, s * q, q / s,
+               q + q, q - q, q * q)
+    for r in results:
+        assert type(r) is Quaternion
+        assert all(type(x) is float for x in _components(r))
+    assert q * s == q * 2.5 and s - q == 2.5 - q
+
+
+@pytest.mark.parametrize("compute, first", [
+    # b = -inf and c = inf: the message names b's
+    (lambda: Quaternion(1e200) * Quaternion(0.0, -1e200, 1e200, 0.0), "-inf"),
+    (lambda: Quaternion(0.0, 1e200, 0.0, 0.0) * Quaternion(0.0, 1e200), "-inf"),
+    (lambda: Quaternion(1.0, 1e300, -1e300) * 1e10, "inf"),
+    (lambda: 1e10 * Quaternion(1.0, -1e300, 1e300), "-inf"),
+    (lambda: Quaternion(1.0, 0.0, -1e300, 1e300) / 1e-10, "-inf"),
+    (lambda: Quaternion(1.0, 0.0, 1e300) * np.float64(1e10), "inf"),
+    (lambda: Quaternion(1e308, 1e308) + Quaternion(1e308, -1e308), "inf"),
+    (lambda: Quaternion(-1e308) - 1e308, "-inf"),
+    # the inverse itself stays finite (|q^-1| = 1/|q| and |q|^2 > 0);
+    # q^-2 is the inverse squared, which overflows
+    (lambda: Quaternion(1e-155) ** -2, "inf"),
+])
+def test_overflowing_results_name_the_first_non_finite_component(compute,
+                                                                 first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails here
+        with pytest.raises(NonFiniteComponent) as info:
+            compute()
+    assert str(info.value) == f"non-finite quaternion component: {first}"
+
+
+def test_inverse_of_the_smallest_norms_is_finite():
+    for q in (Quaternion(1e-160), Quaternion(3e-162, -0.0, 0.0, 1e-170)):
+        inv = q.inverse()
+        assert all(math.isfinite(x) for x in _components(inv))
+
+
+def test_signed_zeros_survive_conjugate_involution_and_negation():
+    def signs(q):
+        return tuple(math.copysign(1.0, x) for x in _components(q))
+
+    for q in (Quaternion(-0.0, 0.0, -0.0, 0.0), Quaternion(0.0, -0.0, 0.0, -0.0)):
+        sa, sb, sc, sd = signs(q)
+        assert signs(q.conjugate()) == (sa, -sb, -sc, -sd)
+        assert signs(-q) == (-sa, -sb, -sc, -sd)
+        assert signs(q.involution(AxisUnit.I)) == (sa, sb, -sc, -sd)
+        assert signs(q.involution(AxisUnit.J)) == (sa, -sb, sc, -sd)
+        assert signs(q.involution(AxisUnit.K)) == (sa, -sb, -sc, sd)
