@@ -187,9 +187,10 @@ def _cmd_qlms_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    # fail on an unusable output path before the run, not after it
+    # fail on an unusable output path before the run, not after it; append
+    # mode creates a new file empty and leaves an existing one as it was
     try:
-        open(args.output, "w").close()
+        open(args.output, "a").close()
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE

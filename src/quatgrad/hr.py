@@ -105,34 +105,48 @@ def hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     the units multiply each partial from the right for the left operator,
     from the left for the right one.
 
-    It works on float 4-tuples with the products and sums of the Quaternion
+    Straight-line code on floats: the three unit products come from
+    _side_mul4, and each part is one _raw over the sums of the Quaternion
     form (dA - dB i - dC j - dD k)/4, ... in their order, zero terms
     included, so every bit and sign of zero is the same; only the four
     parts are built as Quaternions, checked finite."""
-    dA = _floats(g.dA)
-    bi, cj, dk = (_side_mul4(side, _floats(p), unit)
-                  for p, unit in zip((g.dB, g.dC, g.dD), _UNITS4))
-    cols = tuple(zip(dA, bi, cj, dk))
+    i, j, k = _UNITS4
+    a0, a1, a2, a3 = _floats(g.dA)
+    b0, b1, b2, b3 = _side_mul4(side, _floats(g.dB), i)
+    c0, c1, c2, c3 = _side_mul4(side, _floats(g.dC), j)
+    d0, d1, d2, d3 = _side_mul4(side, _floats(g.dD), k)
     return HRGradient(
-        _raw(*[(a - b - c - d) * 0.25 for a, b, c, d in cols]),
-        _raw(*[(a - b + c + d) * 0.25 for a, b, c, d in cols]),
-        _raw(*[(a + b - c + d) * 0.25 for a, b, c, d in cols]),
-        _raw(*[(a + b + c - d) * 0.25 for a, b, c, d in cols]),
+        _raw((a0 - b0 - c0 - d0) * 0.25, (a1 - b1 - c1 - d1) * 0.25,
+             (a2 - b2 - c2 - d2) * 0.25, (a3 - b3 - c3 - d3) * 0.25),
+        _raw((a0 - b0 + c0 + d0) * 0.25, (a1 - b1 + c1 + d1) * 0.25,
+             (a2 - b2 + c2 + d2) * 0.25, (a3 - b3 + c3 + d3) * 0.25),
+        _raw((a0 + b0 - c0 + d0) * 0.25, (a1 + b1 - c1 + d1) * 0.25,
+             (a2 + b2 - c2 + d2) * 0.25, (a3 + b3 - c3 + d3) * 0.25),
+        _raw((a0 + b0 + c0 - d0) * 0.25, (a1 + b1 + c1 - d1) * 0.25,
+             (a2 + b2 + c2 - d2) * 0.25, (a3 + b3 + c3 - d3) * 0.25),
         side,
     )
 
 
 def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
     """Invert hr_from_real via the identity (grad_q f) J = (1/4) grad_r f,
-    computed like it on float 4-tuples in the Quaternion form's order."""
+    written out like it on floats in the Quaternion form's order: four sums
+    of the parts, three of them multiplied by their unit with _side_mul4."""
     _require_side(h, side, f"real_from_{side.value}")
-    cols = tuple(zip(*(_floats(p) for p in h.as_tuple())))
     i, j, k = _UNITS4
+    a0, a1, a2, a3 = _floats(h.d1)
+    b0, b1, b2, b3 = _floats(h.dI)
+    c0, c1, c2, c3 = _floats(h.dJ)
+    d0, d1, d2, d3 = _floats(h.dK)
     return RealGradient(
-        _raw(*[a + b + c + d for a, b, c, d in cols]),
-        _raw(*_side_mul4(side, [a + b - c - d for a, b, c, d in cols], i)),
-        _raw(*_side_mul4(side, [a - b + c - d for a, b, c, d in cols], j)),
-        _raw(*_side_mul4(side, [a - b - c + d for a, b, c, d in cols], k)),
+        _raw(a0 + b0 + c0 + d0, a1 + b1 + c1 + d1,
+             a2 + b2 + c2 + d2, a3 + b3 + c3 + d3),
+        _raw(*_side_mul4(side, (a0 + b0 - c0 - d0, a1 + b1 - c1 - d1,
+                                a2 + b2 - c2 - d2, a3 + b3 - c3 - d3), i)),
+        _raw(*_side_mul4(side, (a0 - b0 + c0 - d0, a1 - b1 + c1 - d1,
+                                a2 - b2 + c2 - d2, a3 - b3 + c3 - d3), j)),
+        _raw(*_side_mul4(side, (a0 - b0 - c0 + d0, a1 - b1 - c1 + d1,
+                                a2 - b2 - c2 + d2, a3 - b3 - c3 + d3), k)),
     )
 
 

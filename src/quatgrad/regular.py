@@ -44,7 +44,7 @@ from typing import Callable
 
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_mul
-from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _UNITS4, _raw,
+from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _raw,
                          power_by_squaring)
 
 
@@ -334,11 +334,12 @@ class Elementary:
     @staticmethod
     def _on_axis(w: complex, qt: Quaternion, v: float) -> Quaternion:
         """Re w + vhat Im w on qt's axis; Re w alone at v = 0, where the
-        domain checks leave Im F(qt_a) = 0."""
+        domain checks leave Im F(qt_a) = 0.  Its inputs are Python floats,
+        so _raw builds it, checked finite like public construction."""
         if v == 0.0:
-            return Quaternion(w.real)
+            return _raw(w.real, 0.0, 0.0, 0.0)
         f = w.imag / v
-        return Quaternion(w.real, f * qt.b, f * qt.c, f * qt.d)
+        return _raw(w.real, f * qt.b, f * qt.c, f * qt.d)
 
     def value(self, q: Quaternion) -> Quaternion:
         qt, v, z = self._at(q)
@@ -354,7 +355,10 @@ class Elementary:
         qt, v, z = self._at(q)
         w, df = self.F(z), self.dF(z)
         ratio = _ratio(w, df, v)
-        return (self._on_axis(df, qt, v) + Quaternion(ratio)) * 0.5
+        p = self._on_axis(df, qt, v)
+        # (p + Quaternion(ratio)) * 0.5 on floats; + 0.0 fixes signs of zero
+        return _raw((p.a + ratio) * 0.5, (p.b + 0.0) * 0.5,
+                    (p.c + 0.0) * 0.5, (p.d + 0.0) * 0.5)
 
     def real_derivative(self, x: float) -> float:
         """f'(x) in the ordinary real-calculus sense."""
@@ -374,7 +378,10 @@ class Elementary:
         and at v = 0 the limits F'(qt_a) and F'(qt_a) e_u.  The grouping
         keeps every factor bounded as v -> 0, where (A - C)/v^2 would
         underflow.  The value is formed before F' is evaluated: it is an
-        error here too when it overflows.
+        error here too when it overflows.  For v > 0 the partials are
+        written out on floats with the Quaternion form's products and sums
+        in its order, zero terms included, so every bit and sign of zero is
+        the same.
         """
         qt, v, z = self._at(q)
         w = self.F(z)
@@ -384,17 +391,24 @@ class Elementary:
             d = df.real
             return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
         a, b, c = df.real, df.imag / v, _ratio(w, df, v)
-        vhat = (0.0, qt.b / v, qt.c / v, qt.d / v)
-        partials = [_raw(a, b * qt.b, b * qt.c, b * qt.d)]
-        # (-b x_u) + e_u c + vhat s, s = (A - C)(x_u/v), on float 4-tuples
-        # with every term of the Quaternion form, 0.0 c and 0.0 + ...
-        # included: they fix the signs of zero components
-        for x_u, e_u in zip((qt.b, qt.c, qt.d), _UNITS4):
-            s = (a - c) * (x_u / v)
-            partials.append(_raw(*[
-                (x + e * c) + h * s
-                for x, e, h in zip((-b * x_u, 0.0, 0.0, 0.0), e_u, vhat)]))
-        return RealGradient(*partials)
+        xb, xc, xd = qt.b, qt.c, qt.d
+        hb, hc, hd = xb / v, xc / v, xd / v  # vhat
+        ac = a - c
+        sb, sc, sd = ac * hb, ac * hc, ac * hd  # s_u = (A - C)(x_u/v)
+        # (-b x_u) + e_u c + vhat s_u with every term of the Quaternion
+        # form: 0.0 c, 0.0 + 0.0 c, 0.0 + c (e_u's zero and unit slots) and
+        # vhat's 0.0 s_u fix the signs of zero components
+        zc = 0.0 * c
+        zzc, oc = 0.0 + zc, 0.0 + c
+        return RealGradient(
+            _raw(a, b * xb, b * xc, b * xd),
+            _raw((-b * xb + zc) + 0.0 * sb, oc + hb * sb, zzc + hc * sb,
+                 zzc + hd * sb),
+            _raw((-b * xc + zc) + 0.0 * sc, zzc + hb * sc, oc + hc * sc,
+                 zzc + hd * sc),
+            _raw((-b * xd + zc) + 0.0 * sd, zzc + hb * sd, zzc + hc * sd,
+                 oc + hd * sd),
+        )
 
 
 _EXP = Elementary("exp", cmath.exp, cmath.exp, lambda q: None)

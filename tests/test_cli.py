@@ -609,6 +609,25 @@ def test_subprocess_qlms_run_warning_as_error_is_one_line(tmp_path):
     assert run.stdout == "" and out.read_text() == ""
 
 
+def test_subprocess_qlms_run_warning_as_error_keeps_existing_output(tmp_path):
+    # the output check before the run must not empty a CSV already there
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
+                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    out = tmp_path / "out.csv"
+    base = [sys.executable, "-m", "quatgrad", "qlms-run", str(cfg), str(out)]
+    first = subprocess.run(base, capture_output=True, text=True,
+                           env=_CHILD_ENV)
+    assert first.returncode == EXIT_OK, first.stderr
+    before = out.read_bytes()
+    assert len(before.splitlines()) == 2001
+    run = subprocess.run([sys.executable, "-W", "error"] + base[1:],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == EXIT_PARSE, run.stderr
+    assert run.stderr.startswith("config error: step size 0.05 exceeds ")
+    assert out.read_bytes() == before
+
+
 def test_subprocess_validate_and_qlms(tmp_path):
     base = [sys.executable, "-m", "quatgrad"]
     val = subprocess.run(base + ["validate", "series"],

@@ -1,11 +1,12 @@
-"""The float 4-tuple kernels against their Quaternion-object specs.
+"""The float kernels against their Quaternion-object specs.
 
-hr_from_real, _real_from_hr and Elementary.real_gradient work on float
-4-tuples.  The spec functions below are the same computations written with
-Quaternion arithmetic, one object per intermediate.  Both derivative routes
-(the closed-form lift and the jet/FD oracles) pass through the conversion,
-so an exact match here (repr equality, which tells -0.0 from 0.0) is what
-keeps the two routes independent of the kernels.
+hr_from_real, _real_from_hr and Elementary.real_gradient, hr_derivative and
+value are straight-line code on floats.  The spec functions below are the
+same computations written with Quaternion arithmetic, one object per
+intermediate.  Both derivative routes (the closed-form lift and the jet/FD
+oracles) pass through the conversion, so an exact match here (repr
+equality, which tells -0.0 from 0.0) is what keeps the two routes
+independent of the kernels.
 """
 
 from hypothesis import example, given, settings
@@ -56,6 +57,25 @@ def spec_real_gradient(fn, q):
         partials.append(Quaternion(-b * x_u) + e_u * c
                         + vhat * ((a - c) * (x_u / v)))
     return RealGradient(*partials)
+
+
+def spec_on_axis(w, qt, v):
+    if v == 0.0:
+        return Quaternion(w.real)
+    f = w.imag / v
+    return Quaternion(w.real, f * qt.b, f * qt.c, f * qt.d)
+
+
+def spec_value(fn, q):
+    qt, v, z = fn._at(q)
+    return spec_on_axis(fn.F(z), qt, v)
+
+
+def spec_hr_derivative(fn, q):
+    qt, v, z = fn._at(q)
+    w, df = fn.F(z), fn.dF(z)
+    ratio = _ratio(w, df, v)
+    return (spec_on_axis(df, qt, v) + Quaternion(ratio)) * 0.5
 
 
 def outcome(f, *args):
@@ -124,3 +144,26 @@ def test_real_from_hr_matches_spec(g, side, tag):
 @example(Elementary.exp(), Quaternion(709.7, 1e-5, 0.0, 0.0))  # overflows
 def test_real_gradient_matches_spec(fn, q):
     assert outcome(fn.real_gradient, q) == outcome(spec_real_gradient, fn, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(functions, points)
+@example(Elementary.tanh(), Quaternion(-0.0, 0.0, -0.0, 0.0))  # v = 0
+@example(Elementary.power(-3, Quaternion(1.0)), Quaternion(-2.0, -0.0, 0.0, -0.0))
+@example(Elementary.exp(), Quaternion(-700.0, 1e-300, 0.0, -0.0))
+@example(Elementary.ln(), Quaternion(-2.0, -0.0, -1e-300, 0.0))
+@example(Elementary.exp(), Quaternion(709.7, 1e-5, 0.0, 0.0))  # overflows
+def test_hr_derivative_matches_spec(fn, q):
+    assert outcome(fn.hr_derivative, q) == outcome(spec_hr_derivative, fn, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(functions, points)
+@example(Elementary.tanh(), Quaternion(-0.0, 0.0, -0.0, 0.0))  # v = 0
+@example(Elementary.power(-3, Quaternion(1.0)), Quaternion(-2.0, -0.0, 0.0, -0.0))
+@example(Elementary.exp(), Quaternion(-700.0, 1e-300, 0.0, -0.0))
+@example(Elementary.ln(), Quaternion(-2.0, -0.0, -1e-300, 0.0))
+@example(Elementary.exp(), Quaternion(709.7, 1e-5, 0.0, 0.0))
+@example(Elementary.exp(), Quaternion(709.8, 1e-5, 0.0, 0.0))  # overflows
+def test_value_matches_spec(fn, q):
+    assert outcome(fn.value, q) == outcome(spec_value, fn, q)
