@@ -3,9 +3,14 @@
 Each suite re-runs the library's mathematical invariants on seeded random
 data and reports pass/fail counts with the worst observed error.  The
 suites mirror what the pytest suite asserts, packaged for scripted use.
+
+Each suite is a generator that yields one CheckResult per check, in the
+order its draws are made; `run_suites` is the one runner.  A new check is
+one block ending in `yield _tally(...)` or `yield _verdicts(...)`.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +45,7 @@ class SuiteReport:
 
     @property
     def worst_error(self) -> float:
-        return max((c.worst_error for c in self.checks), default=0.0)
+        return _worst(c.worst_error for c in self.checks)
 
 
 def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
@@ -75,15 +80,31 @@ def tanh_safe(q: Quaternion) -> bool:
     return cosh_abs_sq(q) > 0.1
 
 
-def _tally(name: str, errors, tol: float, lines=None) -> CheckResult:
+def _worst(errors) -> float:
+    """The largest error, NaN if any is (max alone may drop a NaN)."""
+    return max(errors, key=lambda e: (math.isnan(e), e), default=0.0)
+
+
+def _tally(name: str, errors, tol: float) -> CheckResult:
+    """Each error is one draw, passing when it is <= tol (NaN fails)."""
     errors = list(errors)
     failed = sum(1 for e in errors if not e <= tol)
-    worst = max(errors, default=0.0)
-    return CheckResult(name, len(errors) - failed, failed, worst, lines or [])
+    return CheckResult(name, len(errors) - failed, failed, _worst(errors))
+
+
+def _verdicts(name: str, oks, worst: float = 0.0, lines=None) -> CheckResult:
+    """Each ok is one pass/fail verdict of a check with no error to tally."""
+    passed = sum(1 for ok in oks if ok)
+    return CheckResult(name, passed, len(oks) - passed, worst, lines or [])
 
 
 def _dist(p: Quaternion, q: Quaternion) -> float:
     return abs(p - q)
+
+
+def _gap(x, y) -> float:
+    """The largest part-wise distance of two gradients."""
+    return max(_dist(a, b) for a, b in zip(x.as_tuple(), y.as_tuple()))
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +121,10 @@ _UNITS = {"1": ONE, "i": QI, "j": QJ, "k": QK,
           "-1": -ONE, "-i": -QI, "-j": -QJ, "-k": -QK}
 
 
-def suite_algebra(rng: np.random.Generator) -> SuiteReport:
-    checks = []
-
-    errors = [_dist(_UNITS[x] * _UNITS[y], _UNITS[want])
-              for (x, y), want in _TABLE.items()]
-    checks.append(_tally("multiplication table (exact)", errors, 0.0))
+def suite_algebra(rng: np.random.Generator) -> Iterator[CheckResult]:
+    yield _tally("multiplication table (exact)",
+                 (_dist(_UNITS[x] * _UNITS[y], _UNITS[want])
+                  for (x, y), want in _TABLE.items()), 0.0)
 
     errors = []
     for _ in range(1000):
@@ -115,7 +134,7 @@ def suite_algebra(rng: np.random.Generator) -> SuiteReport:
         errors.append((q * q.conjugate()).imag_norm() / max(1.0, n2))
         if n2 > 1e-6:
             errors.append(_dist(q * q.inverse(), ONE))
-    checks.append(_tally("q q* = |q|^2 and q q^-1 = 1", errors, 1e-13))
+    yield _tally("q q* = |q|^2 and q q^-1 = 1", errors, 1e-13)
 
     errors = []
     for _ in range(1000):
@@ -129,7 +148,7 @@ def suite_algebra(rng: np.random.Generator) -> SuiteReport:
         errors.append(_dist(total, Quaternion(4.0 * q.a)))
         errors.append(_dist(quad[1] + quad[2] + quad[3] - q,
                             q.conjugate() * 2.0))
-    checks.append(_tally("involution recovery and relations", errors, 1e-13))
+    yield _tally("involution recovery and relations", errors, 1e-13)
 
     errors = []
     for _ in range(500):
@@ -140,14 +159,14 @@ def suite_algebra(rng: np.random.Generator) -> SuiteReport:
             errors.append(_dist(Quaternion(p.real_part) + p.imag_axis * p.imag_norm, q))
         else:
             errors.append(_dist(Quaternion(p.real_part), q))
-    checks.append(_tally("polar reconstruction, vhat^2 = -1", errors, 1e-13))
+    yield _tally("polar reconstruction, vhat^2 = -1", errors, 1e-13)
 
     errors = []
     for q in _accepted(rng, 1000, lambda q: q.imag_norm() < math.pi - 0.1):
         back = ln_q(exp_q(q))
         errors.append(max(abs(x) for x in ((back.a - q.a), (back.b - q.b),
                                            (back.c - q.c), (back.d - q.d))))
-    checks.append(_tally("ln(exp(q)) = q for v < pi - 0.1", errors, 1e-10))
+    yield _tally("ln(exp(q)) = q for v < pi - 0.1", errors, 1e-10)
 
     errors = []
     for _ in range(200):
@@ -157,51 +176,31 @@ def suite_algebra(rng: np.random.Generator) -> SuiteReport:
         e_pos, e_neg = exp_q(q), exp_q(-q)
         quotient = (e_pos - e_neg) * (e_pos + e_neg).inverse()
         errors.append(_dist(quotient, tanh_q(q)))
-    checks.append(_tally("tanh quotient form vs closed form", errors, 1e-12))
-
-    return SuiteReport("algebra", checks)
+    yield _tally("tanh quotient form vs closed form", errors, 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # rules
 # ---------------------------------------------------------------------------
 
-def _jet_library(rng: np.random.Generator):
-    """Sample (description, jet builder) pairs over {q, q*, q^2, const*q}."""
-    c = random_quaternion(rng)
-    return [
-        ("q", lambda q: hr.jet_seed(q)),
-        ("q*", lambda q: hr.jet_seed(q).conjugate()),
-        ("q^2", lambda q: hr.jet_seed(q) * hr.jet_seed(q)),
-        ("cq", lambda q, c=c: c * hr.jet_seed(q)),
-    ]
-
-
-def suite_rules(rng: np.random.Generator) -> SuiteReport:
-    checks = []
-
+def suite_rules(rng: np.random.Generator) -> Iterator[CheckResult]:
     jh = hr.qmat_conj_transpose(hr.JACOBIAN)
-    errors = []
-    for product in (hr.qmat_mul(hr.JACOBIAN, jh), hr.qmat_mul(jh, hr.JACOBIAN)):
-        for i in range(4):
-            for j in range(4):
-                want = Quaternion(0.25) if i == j else ZERO
-                errors.append(_dist(product[i][j], want))
-    checks.append(_tally("J J^H = J^H J = I/4 (exact)", errors, 0.0))
+    yield _tally("J J^H = J^H J = I/4 (exact)",
+                 (_dist(product[i][j], Quaternion(0.25) if i == j else ZERO)
+                  for product in (hr.qmat_mul(hr.JACOBIAN, jh),
+                                  hr.qmat_mul(jh, hr.JACOBIAN))
+                  for i in range(4) for j in range(4)), 0.0)
 
     errors = []
     for _ in range(1000):
         g = hr.RealGradient(*(random_quaternion(rng) for _ in range(4)))
-        back = hr.real_from_left(hr.left_from_real(g))
-        errors.append(max(_dist(a, b) for a, b in
-                          zip(g.as_tuple(), back.as_tuple())))
-    checks.append(_tally("real_from_left . left_from_real = id", errors, 1e-13))
+        errors.append(_gap(g, hr.real_from_left(hr.left_from_real(g))))
+    yield _tally("real_from_left . left_from_real = id", errors, 1e-13)
 
     q = random_quaternion(rng)
-    errors = []
     h_id = hr.left_from_real(hr.jet_seed(q).grad)
-    errors.extend(_dist(a, b) for a, b in
-                  zip(h_id.as_tuple(), (ONE, ZERO, ZERO, ZERO)))
+    errors = [_dist(a, b) for a, b in
+              zip(h_id.as_tuple(), (ONE, ZERO, ZERO, ZERO))]
     h_conj = hr.left_from_real(hr.jet_seed(q).conjugate().grad)
     errors.append(_dist(h_conj.d1, Quaternion(-0.5)))
     for axis in IMAGINARY_AXES:
@@ -212,26 +211,19 @@ def suite_rules(rng: np.random.Generator) -> SuiteReport:
     jet_cq = c * hr.jet_seed(q)
     errors.append(_dist(hr.left_from_real(jet_cq.grad).d1, c))
     errors.append(_dist(hr.right_from_real(jet_cq.grad).d1, Quaternion(c.a)))
-    checks.append(_tally("basic derivatives (q, q*, q^nu, cq)", errors, 0.0))
+    yield _tally("basic derivatives (q, q*, q^nu, cq)", errors, 0.0)
 
     errors = []
     for _ in range(100):
         q = random_quaternion(rng)
         h2 = hr.left_from_real((hr.jet_seed(q) * hr.jet_seed(q)).grad)
-        errors.append(_dist(h2.d1, q + q.a))
-        errors.append(_dist(h2.dI, QI * q.b))
-        errors.append(_dist(h2.dJ, QJ * q.c))
-        errors.append(_dist(h2.dK, QK * q.d))
-    checks.append(_tally("non-independence of q^2 (involution slots)", errors, 1e-12))
+        errors.extend(_dist(a, b) for a, b in
+                      zip(h2.as_tuple(), (q + q.a, QI * q.b, QJ * q.c, QK * q.d)))
+    yield _tally("non-independence of q^2 (involution slots)", errors, 1e-12)
 
     errors = []
-    builders = [
-        ("q^2", lambda s: s * s),
-        ("q^3", lambda s: s * s * s),
-        ("q*q", lambda s: s.conjugate() * s),
-        ("exp", hr.jet_exp),
-    ]
-    for _, build in builders:
+    for build in (lambda s: s * s, lambda s: s * s * s,
+                  lambda s: s.conjugate() * s, hr.jet_exp):
         q = random_quaternion(rng)
         jet = build(hr.jet_seed(q))
         h = hr.left_from_real(jet.grad)
@@ -245,103 +237,86 @@ def suite_rules(rng: np.random.Generator) -> SuiteReport:
                 errors.append(abs(ratio - 4.0))  # tolerance 0.5 on the ratio
             prev = err
             delta = delta * 0.5
-    checks.append(_tally("differential reconstruction is 2nd order", errors, 0.5))
+    yield _tally("differential reconstruction is 2nd order", errors, 0.5)
 
     errors = []
     for _ in range(100):
-        q = random_quaternion(rng)
-        alpha, beta = random_quaternion(rng), random_quaternion(rng)
+        q, alpha, beta = (random_quaternion(rng) for _ in range(3))
         f_jet = hr.jet_seed(q) * hr.jet_seed(q)
         g_jet = hr.jet_seed(q).conjugate()
         lhs = hr.left_from_real((alpha * f_jet + beta * g_jet).grad)
         hf = hr.left_from_real(f_jet.grad)
         hg = hr.left_from_real(g_jet.grad)
-        for n in range(4):
-            errors.append(_dist(lhs.as_tuple()[n],
-                                alpha * hf.as_tuple()[n] + beta * hg.as_tuple()[n]))
-    q = Quaternion(0.3, -0.7, 1.1, 0.4)
-    d_right = hr.left_from_real((hr.jet_seed(q) * QI).grad).d1
-    witness_ok = int(_dist(d_right, QI) > 0.5)
-    checks.append(_tally("left-linearity", errors, 1e-12))
-    checks.append(CheckResult("right-multiplication linearity fails (witness)",
-                              witness_ok, 1 - witness_ok, 0.0))
+        errors.extend(_dist(x, alpha * f + beta * g) for x, f, g in
+                      zip(lhs.as_tuple(), hf.as_tuple(), hg.as_tuple()))
+    yield _tally("left-linearity", errors, 1e-12)
+    d_right = hr.left_from_real(
+        (hr.jet_seed(Quaternion(0.3, -0.7, 1.1, 0.4)) * QI).grad).d1
+    yield _verdicts("right-multiplication linearity fails (witness)",
+                    [_dist(d_right, QI) > 0.5])
 
+    # jets over {q, q*, q^2, cq}
+    c = random_quaternion(rng)
+    lib = (hr.jet_seed, lambda q: hr.jet_seed(q).conjugate(),
+           lambda q: hr.jet_seed(q) * hr.jet_seed(q),
+           lambda q, c=c: c * hr.jet_seed(q))
     errors = []
-    lib = _jet_library(rng)
     for _ in range(200):
         q = random_quaternion(rng)
-        _, bf = lib[rng.integers(len(lib))]
-        _, bg = lib[rng.integers(len(lib))]
+        bf, bg = (lib[rng.integers(len(lib))] for _ in range(2))
         f_jet, g_jet = bf(q), bg(q)
         direct = hr.left_from_real((f_jet * g_jet).grad)
         via = hr.product_rule_first(f_jet.value, f_jet.grad, g_jet.value,
                                     hr.left_from_real(g_jet.grad))
-        errors.append(max(_dist(a, b) for a, b in
-                          zip(direct.as_tuple(), via.as_tuple())))
+        errors.append(_gap(direct, via))
         direct_r = hr.right_from_real((f_jet * g_jet).grad)
         via_r = hr.product_rule_first_right(hr.right_from_real(f_jet.grad),
                                             g_jet.value, f_jet.value, g_jet.grad)
-        errors.append(max(_dist(a, b) for a, b in
-                          zip(direct_r.as_tuple(), via_r.as_tuple())))
-    checks.append(_tally("first product rule (left and right) vs jets",
-                         errors, 1e-11))
+        errors.append(_gap(direct_r, via_r))
+    yield _tally("first product rule (left and right) vs jets", errors, 1e-11)
 
-    errors = []
-    matrix_errors = []
+    errors, matrix_errors = [], []
     for _ in range(50):
-        q = random_quaternion(rng)
-        a1, b1, c1 = (random_quaternion(rng) for _ in range(3))
+        q, a1, b1, c1 = (random_quaternion(rng) for _ in range(4))
         g_jet = a1 * hr.jet_seed(q) * b1 + c1 * hr.jet_seed(q) * hr.jet_seed(q)
         f_of = lambda jet: jet * jet
         direct = hr.left_from_real(f_of(g_jet).grad)
-        outer = hr.left_from_real(f_of(hr.jet_seed(g_jet.value)).grad)
-        m = hr.chain_matrix_involutions(g_jet.grad)
-        via1 = hr.chain_rule_first(outer, m)
         outer_real = f_of(hr.jet_seed(g_jet.value)).grad
-        o = hr.chain_matrix_components(g_jet.grad)
-        via2 = hr.chain_rule_second(outer_real, o)
-        for via in (via1, via2):
-            errors.append(max(_dist(a, b) for a, b in
-                              zip(direct.as_tuple(), via.as_tuple())))
+        m = hr.chain_matrix_involutions(g_jet.grad)
+        via1 = hr.chain_rule_first(hr.left_from_real(outer_real), m)
+        via2 = hr.chain_rule_second(outer_real,
+                                    hr.chain_matrix_components(g_jet.grad))
+        errors.extend(_gap(direct, via) for via in (via1, via2))
         m2 = hr.qmat_scale(hr.qmat_mul(hr.qmat_mul(
             hr.JACOBIAN, hr.qmat_from_real(hr.real_jacobian(g_jet.grad))), jh), 4.0)
         matrix_errors.append(max(_dist(m[i][j], m2[i][j])
                             for i in range(4) for j in range(4)))
-    checks.append(_tally("chain rules 1 and 2 vs jet composition", errors, 1e-11))
-    checks.append(_tally("4 J P J^H = M", matrix_errors, 1e-12))
+    yield _tally("chain rules 1 and 2 vs jet composition", errors, 1e-11)
+    yield _tally("4 J P J^H = M", matrix_errors, 1e-12)
 
     errors = []
     for _ in range(100):
-        q = random_quaternion(rng)
-        c = random_quaternion(rng)
-        d = random_quaternion(rng)
-        seeds = [
-            hr.jet_seed(q) * hr.jet_seed(q).conjugate(),          # |q|^2
-            (c * hr.jet_seed(q) + (c * hr.jet_seed(q)).conjugate()) * 0.5,  # R(cq)
-        ]
-        e_jet = d - c * hr.jet_seed(q)
-        seeds.append(e_jet * e_jet.conjugate())                   # e e*
+        q, c, d = (random_quaternion(rng) for _ in range(3))
+        s = hr.jet_seed(q)
+        e_jet = d - c * s
+        seeds = (s * s.conjugate(),                    # |q|^2
+                 (c * s + (c * s).conjugate()) * 0.5,  # R(cq)
+                 e_jet * e_jet.conjugate())            # e e*
         for jet in seeds:
             hl = hr.left_from_real(jet.grad)
-            hrr = hr.right_from_real(jet.grad)
-            errors.append(max(_dist(a, b) for a, b in
-                              zip(hl.as_tuple(), hrr.as_tuple())))
+            errors.append(_gap(hl, hr.right_from_real(jet.grad)))
             for axis, part in zip(IMAGINARY_AXES, (hl.dI, hl.dJ, hl.dK)):
                 errors.append(_dist(part, hl.d1.involution(axis)))
         errors.append(_dist(hr.real_valued_reduce(
             hr.left_from_real(seeds[0].grad)), q.conjugate() * 0.5))
-    checks.append(_tally("real-valued gradient identities", errors, 1e-12))
-
-    return SuiteReport("rules", checks)
+    yield _tally("real-valued gradient identities", errors, 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
 
-def suite_series(rng: np.random.Generator) -> SuiteReport:
-    checks = []
-
+def suite_series(rng: np.random.Generator) -> Iterator[CheckResult]:
     errors, lr = [], []
     for n in range(-8, 9):
         for _ in range(100):
@@ -351,33 +326,31 @@ def suite_series(rng: np.random.Generator) -> SuiteReport:
             errors.append(_dist(closed, oracle) / max(1.0, abs(oracle)))
             lr.append(_dist(closed,
                             regular.power_derivative(q, ZERO, n, hr.Side.RIGHT)))
-    checks.append(_tally("power derivative vs induction/recurrence oracle, n in [-8,8]",
-                         errors, 1e-11))
-    checks.append(_tally("left power derivative == right", lr, 1e-13))
+    yield _tally("power derivative vs induction/recurrence oracle, n in [-8,8]",
+                 errors, 1e-11)
+    yield _tally("left power derivative == right", lr, 1e-13)
 
     errors = []
     for n in (*range(-8, 0), *range(1, 9)):
         for _ in range(20):
             q = random_quaternion_in_shell(rng)
+            closed = regular.power_derivative(q, ZERO, n)
             jet = hr.jet_pow(hr.jet_seed(q), n)
-            errors.append(_dist(regular.power_derivative(q, ZERO, n),
-                                hr.left_from_real(jet.grad).d1)
-                          / max(1.0, abs(regular.power_derivative(q, ZERO, n))))
-    checks.append(_tally("power derivative vs jet pipeline", errors, 1e-10))
+            errors.append(_dist(closed, hr.left_from_real(jet.grad).d1)
+                          / max(1.0, abs(closed)))
+    yield _tally("power derivative vs jet pipeline", errors, 1e-10)
 
     errors = []
     for _ in range(200):
         q = random_quaternion_in_shell(rng)
         n = int(rng.integers(-6, 7))
-        if n == 0:
+        if n == 0 or q.imag_norm() <= 0.05:
             continue
-        literal = (q ** n - q.conjugate() ** n) * (q - q.conjugate()).inverse() \
-            if q.imag_norm() > 0.05 else None
+        literal = (q ** n - q.conjugate() ** n) * (q - q.conjugate()).inverse()
         s = regular.symmetric_ratio(q, n)
-        if literal is not None:
-            errors.append(literal.imag_norm() / max(1.0, abs(literal)))
-            errors.append(_dist(literal, Quaternion(s)) / max(1.0, abs(s)))
-    checks.append(_tally("symmetric ratio is real = literal quotient", errors, 1e-13))
+        errors.append(literal.imag_norm() / max(1.0, abs(literal)))
+        errors.append(_dist(literal, Quaternion(s)) / max(1.0, abs(s)))
+    yield _tally("symmetric ratio is real = literal quotient", errors, 1e-13)
 
     errors = []
     exp_fn = regular.exp_series(40)
@@ -388,8 +361,7 @@ def suite_series(rng: np.random.Generator) -> SuiteReport:
             continue
         errors.append(_dist(exp_fn.derivative(q), regular.exp_derivative(q)))
         errors.append(_dist(tanh_fn.derivative(q), regular.tanh_derivative(q)))
-    checks.append(_tally("series derivatives vs closed forms (|q| <= 1)",
-                         errors, 1e-8))
+    yield _tally("series derivatives vs closed forms (|q| <= 1)", errors, 1e-8)
 
     errors = []
     for _ in range(100):
@@ -399,16 +371,14 @@ def suite_series(rng: np.random.Generator) -> SuiteReport:
         left = regular.PowerSeriesFn(ZERO, coeffs, hr.Side.LEFT, (0.1, 2.0))
         right = regular.PowerSeriesFn(ZERO, coeffs, hr.Side.RIGHT, (0.1, 2.0))
         errors.append(_dist(left.derivative(q), right.derivative(q)))
-    checks.append(_tally("real coefficients: left series == right", errors, 1e-12))
-
-    return SuiteReport("series", checks)
+    yield _tally("real coefficients: left series == right", errors, 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # consistency (real-axis limits)
 # ---------------------------------------------------------------------------
 
-def suite_consistency(rng: np.random.Generator) -> SuiteReport:
+def suite_consistency(rng: np.random.Generator) -> Iterator[CheckResult]:
     v_sequence = [10.0 ** (-p) for p in range(1, 7)]
     cases = [
         ("exp", regular.Elementary.exp(), (0.5, 1.5)),
@@ -420,71 +390,56 @@ def suite_consistency(rng: np.random.Generator) -> SuiteReport:
         ("power(2)", regular.Elementary.power(2), (0.5, 2.0)),
         ("power(3)", regular.Elementary.power(3), (0.5, 2.0)),
     ]
-    checks = []
+    # pairs already at the rounding floor cannot keep decreasing
+    floor = 1e-13
     for label, fn, (lo, hi) in cases:
-        monotone_failures = 0
-        lines = []
-        worst = 0.0
+        oks, finals, lines = [], [], []
         for _ in range(10):
             q_a = float(rng.uniform(lo, hi))
             axis = random_pure_unit(rng)
             errs = regular.real_axis_limit_check(fn, q_a, v_sequence, axis)
-            # pairs already at the rounding floor cannot keep decreasing
-            floor = 1e-13
-            if any(b >= a and not (a <= floor and b <= floor)
-                   for a, b in zip(errs, errs[1:])):
-                monotone_failures += 1
-            worst = max(worst, errs[-1])
+            oks.append(not any(b >= a and not (a <= floor and b <= floor)
+                               for a, b in zip(errs, errs[1:])))
+            finals.append(errs[-1])
             lines.append(f"    {label} at q_a={q_a:.3f}: " +
                          " > ".join(f"{e:.2e}" for e in errs))
-        checks.append(CheckResult(f"real-axis limit monotone: {label}",
-                                  10 - monotone_failures, monotone_failures,
-                                  worst, lines))
-    return SuiteReport("consistency", checks)
+        yield _verdicts(f"real-axis limit monotone: {label}", oks,
+                        _worst(finals), lines)
 
 
 # ---------------------------------------------------------------------------
 # fd
 # ---------------------------------------------------------------------------
 
-def suite_fd(rng: np.random.Generator) -> SuiteReport:
-    checks = []
-
+def suite_fd(rng: np.random.Generator) -> Iterator[CheckResult]:
     cases = [
-        ("q^2", lambda q: q * q, lambda s: s * s, None),
-        ("q^3", lambda q: q ** 3, lambda s: s * s * s, None),
-        ("q^-1", lambda q: q.inverse(), lambda s: s.inverse(),
-         lambda q: abs(q) > 0.4),
-        ("q*q", lambda q: q.conjugate() * q, lambda s: s.conjugate() * s, None),
-        ("exp", exp_q, hr.jet_exp, lambda q: abs(q) < 2.5),
-        ("tanh", tanh_q, hr.jet_tanh, tanh_safe),
+        (lambda q: q * q, lambda s: s * s, None),
+        (lambda q: q ** 3, lambda s: s * s * s, None),
+        (lambda q: q.inverse(), lambda s: s.inverse(), lambda q: abs(q) > 0.4),
+        (lambda q: q.conjugate() * q, lambda s: s.conjugate() * s, None),
+        (exp_q, hr.jet_exp, lambda q: abs(q) < 2.5),
+        (tanh_q, hr.jet_tanh, tanh_safe),
     ]
     errors = []
-    for label, f, jet_of, safe in cases:
+    for f, jet_of, safe in cases:
         for q in _accepted(rng, 100, safe or (lambda q: True)):
             cfg = fd.FDConfig(fd.default_step(q))
             est = fd.real_partials_fd(f, q, cfg)
-            ref = jet_of(hr.jet_seed(q)).grad
-            errors.append(fd.gradient_error(est, ref))
-    checks.append(_tally("central fd vs jet gradient (6 functions)", errors, 1e-6))
+            errors.append(fd.gradient_error(est, jet_of(hr.jet_seed(q)).grad))
+    yield _tally("central fd vs jet gradient (6 functions)", errors, 1e-6)
 
     improvements = []
     for _ in range(100):
         q = random_quaternion(rng)
         ref = hr.jet_pow(hr.jet_seed(q), 3).grad
-        plain = fd.gradient_error(
-            fd.real_partials_fd(lambda z: z ** 3, q, fd.FDConfig(1e-3)), ref)
-        rich = fd.gradient_error(
-            fd.real_partials_fd(lambda z: z ** 3, q,
-                                fd.FDConfig(1e-3, richardson=True)), ref)
+        plain, rich = (fd.gradient_error(fd.real_partials_fd(
+            lambda z: z ** 3, q, fd.FDConfig(1e-3, richardson=r)), ref)
+            for r in (False, True))
         improvements.append(rich < plain)
-    median_improves = sorted(improvements)[len(improvements) // 2]
-    checks.append(CheckResult("Richardson beats plain central on q^3 (median)",
-                              int(median_improves), int(not median_improves),
-                              0.0))
+    yield _verdicts("Richardson beats plain central on q^3 (median)",
+                    [sorted(improvements)[len(improvements) // 2]])
 
-    lines = []
-    slope_failures = 0
+    oks, lines = [], []
     steps = [1e-2 / 2 ** i for i in range(5)]
     exp_point = Quaternion(0.2, 0.5, -0.3, 0.1)
     for label, f, jet_of, point, kind, (lo, hi) in (
@@ -495,10 +450,9 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
         ref = jet_of(hr.jet_seed(point)).grad
         slope = fd.convergence_order(f, point, steps, ref, kind)
         lines.append(f"    {label}: slope {slope:.3f}")
-        if not lo <= slope <= hi:
-            slope_failures += 1
-    checks.append(CheckResult("convergence orders (central ~2, forward ~1)",
-                              3 - slope_failures, slope_failures, 0.0, lines))
+        oks.append(lo <= slope <= hi)
+    yield _verdicts("convergence orders (central ~2, forward ~1)", oks,
+                    lines=lines)
 
     errors = []
     for fn, safe in ((regular.Elementary.exp(), lambda q: abs(q) < 2.0),
@@ -508,11 +462,8 @@ def suite_fd(rng: np.random.Generator) -> SuiteReport:
         for q in _accepted(rng, 200, safe):
             cfg = fd.FDConfig(fd.default_step(q), richardson=True)
             est = fd.hr_gradient_fd(fn.value, q, cfg)
-            closed = fn.hr_derivative(q)
-            errors.append(fd.rel_error(est.d1, closed))
-    checks.append(_tally("closed-form derivatives vs Richardson fd", errors, 1e-6))
-
-    return SuiteReport("fd", checks)
+            errors.append(fd.rel_error(est.d1, fn.hr_derivative(q)))
+    yield _tally("closed-form derivatives vs Richardson fd", errors, 1e-6)
 
 
 _SUITES = {
@@ -526,8 +477,13 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names, seed: int = 20_240_601) -> list[SuiteReport]:
-    """Run the named suites in order, each on a fresh default_rng(seed)."""
+    """Run the named suites in order, each on a fresh default_rng(seed).
+
+    Every name is checked before any suite runs.  A suite's report lists
+    the CheckResults its generator yields, one per check in draw order.
+    """
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    return [_SUITES[name](np.random.default_rng(seed)) for name in names]
+    return [SuiteReport(name, list(_SUITES[name](np.random.default_rng(seed))))
+            for name in names]
