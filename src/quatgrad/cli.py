@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse error (arguments, quaternion strings,
-config files, unusable output path), 2 domain error (including results
-beyond the float range), 3 validation-suite failure, 4 divergent QLMS run.
+config files, unusable output path, output that cannot be written, a closed
+stdout included), 2 domain error (including results beyond the float
+range), 3 validation-suite failure, 4 divergent QLMS run.
 """
 
 import argparse
+import os
 import re
 import sys
 import warnings
@@ -221,11 +223,21 @@ def _cmd_qlms_run(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    return {"eval-grad": _cmd_eval_grad, "validate": _cmd_validate,
-            "qlms-run": _cmd_qlms_run}[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+            code = {"eval-grad": _cmd_eval_grad, "validate": _cmd_validate,
+                    "qlms-run": _cmd_qlms_run}[args.command](args)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code if isinstance(exc.code, int) else EXIT_PARSE
+        if sys.stdout is not None:  # None when fd 1 is closed: no output
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except OSError as exc:  # a closed stdout or a failed write
+        if isinstance(exc, BrokenPipeError):
+            # what is still buffered is flushed at exit, to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

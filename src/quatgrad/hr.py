@@ -91,6 +91,12 @@ def side_mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
     return p * q if side is Side.LEFT else q * p
 
 
+def side_dot(side: Side, ps, qs) -> Quaternion:
+    """The sum of side_mul(side, p, q) over the pairs, added to ZERO left
+    to right: the one body of every side-ordered sum of products."""
+    return sum(map(partial(side_mul, side), ps, qs), ZERO)
+
+
 def _side_mul4(side: Side, p, q) -> tuple[float, float, float, float]:
     """side_mul on float 4-tuples."""
     return _hamilton(p, q) if side is Side.LEFT else _hamilton(q, p)
@@ -169,10 +175,7 @@ def differential(h: HRGradient, dq: Quaternion) -> Quaternion:
     """
     steps = (dq, dq.involution(AxisUnit.I), dq.involution(AxisUnit.J),
              dq.involution(AxisUnit.K))
-    total = ZERO
-    for partial, step in zip(h.as_tuple(), steps):
-        total = total + side_mul(h.side, partial, step)
-    return total
+    return side_dot(h.side, h.as_tuple(), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +208,8 @@ def qmat_conj_transpose(m: QMatrix) -> QMatrix:
 
 
 def qmat_mul(x: QMatrix, y: QMatrix) -> QMatrix:
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            acc = ZERO
-            for k in range(4):
-                acc = acc + x[i][k] * y[k][j]
-            row.append(acc)
-        out.append(row)
-    return _qmat(out)
+    cols = tuple(zip(*y))
+    return _qmat((side_dot(Side.LEFT, row, col) for col in cols) for row in x)
 
 
 def qmat_scale(m: QMatrix, s: float) -> QMatrix:
@@ -440,13 +435,8 @@ def real_jacobian(g_grad: RealGradient):
 
 def _compose(outer_parts, m: QMatrix, side: Side) -> HRGradient:
     """Part nu is sum_mu outer_parts[mu] m[mu][nu], multiplied in side order."""
-    parts = []
-    for nu in range(4):
-        acc = ZERO
-        for mu in range(4):
-            acc = acc + side_mul(side, outer_parts[mu], m[mu][nu])
-        parts.append(acc)
-    return HRGradient(*parts, side)
+    return HRGradient(*(side_dot(side, outer_parts, col) for col in zip(*m)),
+                      side)
 
 
 def chain_rule_first(outer: HRGradient, m: QMatrix) -> HRGradient:

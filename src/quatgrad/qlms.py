@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import LengthMismatch
-from .quaternion import ZERO, Quaternion
+from .hr import Side, side_dot
+from .quaternion import Quaternion, random_quaternion
 
 #: Weight-vector norm beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -73,10 +74,7 @@ def _check_length(state: FilterState, x: Sequence[Quaternion]) -> None:
 def predict(state: FilterState, x: Sequence[Quaternion]) -> Quaternion:
     """y = sum_m w_m x_m, products in the order w*x."""
     _check_length(state, x)
-    acc = ZERO
-    for w, xm in zip(state.weights, x):
-        acc = acc + w * xm
-    return acc
+    return side_dot(Side.LEFT, state.weights, x)
 
 
 def error_signal(state: FilterState, sample: SamplePair) -> Quaternion:
@@ -153,8 +151,7 @@ class ExperimentConfig:
             import numpy as np
             rng = np.random.default_rng([self.rng_seed, 1])
             object.__setattr__(self, "true_weights", tuple(
-                Quaternion(*(float(x) for x in rng.standard_normal(4)))
-                for _ in range(self.filter_length)))
+                random_quaternion(rng) for _ in range(self.filter_length)))
         if len(self.true_weights) != self.filter_length:
             raise ValueError(
                 f"true_weights has length {len(self.true_weights)}, "

@@ -13,11 +13,11 @@ quadruple, the polar decomposition q = a + v*vhat, and a text form
 "a+bi+cj+dk" used by the CLI and test fixtures.  It is only the number
 type: exp, ln, tanh and (q - c)^n of a quaternion live in regular.
 
-Public construction, Quaternion(a, b, c, d), coerces every component to a
-Python float and rejects NaN and infinity.  Arithmetic results skip the
-coercion (their components are Python floats already) but are still
-checked finite: they are built by the trusted _raw, which raises the same
-NonFiniteComponent.
+Every Quaternion is built by _raw, the one finiteness check (it raises
+NonFiniteComponent).  Public construction, Quaternion(a, b, c, d), is
+_raw over float() of each component; arithmetic results call _raw
+directly, since their components are Python floats already.
+random_quaternion is the one standard-normal sampler.
 """
 
 import math
@@ -32,16 +32,16 @@ from .errors import InconsistentQuadruple, NonFiniteComponent
 RESIDUE_TOL = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """An immutable quaternion with components (a, b, c, d).
 
     All arithmetic returns new instances; values are safe to share across
-    threads.  Public construction stores each component as a Python float
-    (a numpy scalar is converted) and rejects NaN and infinity.  Results of
-    conjugate(), inverse(), involution() and + - * / come from _raw: their
-    components are Python floats by construction (a scalar operand is
-    converted with float() first), and they are checked finite all the same.
+    threads.  Every instance comes from _raw, which rejects NaN and
+    infinity: Quaternion(a, b, c, d) passes it float() of each component (a
+    numpy scalar becomes a Python float), while conjugate(), inverse(),
+    involution() and + - * / pass their float results directly (a scalar
+    operand is converted with float() first).
     """
 
     a: float
@@ -49,15 +49,12 @@ class Quaternion:
     c: float = 0.0
     d: float = 0.0
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            x = getattr(self, name)
-            if type(x) is not float:  # numpy.float64 passes isinstance
-                x = float(x)
-                object.__setattr__(self, name, x)
-            if not math.isfinite(x):
-                raise NonFiniteComponent(
-                    f"non-finite quaternion component: {x!r}")
+    def __new__(cls, a, b=0.0, c=0.0, d=0.0):
+        return _raw(float(a), float(b), float(c), float(d))
+
+    def __getnewargs__(self):
+        # copy, deepcopy and pickle rebuild through __new__
+        return (self.a, self.b, self.c, self.d)
 
     # -- basic structure ------------------------------------------------
 
@@ -188,11 +185,11 @@ _set_a, _set_b, _set_c, _set_d = (Quaternion.__dict__[name].__set__
 
 
 def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
-    """A Quaternion from four Python floats, without the public coercion.
+    """A Quaternion from four Python floats, without the float() coercion.
 
     x * 0.0 is +-0.0 for finite x and nan for inf or nan, so the one sum
     below is nonzero exactly when a component is not finite; the error then
-    names the first such component, as public construction does.
+    names the first such component.
     """
     if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
         x = next(x for x in (a, b, c, d) if not math.isfinite(x))
@@ -305,6 +302,11 @@ def polar(q: Quaternion) -> PolarForm:
         return PolarForm(q.a, 0.0, None, theta)
     axis = Quaternion(0.0, q.b / v, q.c / v, q.d / v)
     return PolarForm(q.a, v, axis, theta)
+
+
+def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
+    """Four standard-normal components times scale, from a numpy Generator."""
+    return Quaternion(*(rng.standard_normal(4) * scale))
 
 
 def power_by_squaring(x, n: int, one):

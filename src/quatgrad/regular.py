@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, OutsideAnnulus, PoleError
-from .hr import RealGradient, Side, side_mul
+from .hr import RealGradient, Side, side_dot
 from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _raw,
                          power_by_squaring)
 
@@ -152,20 +152,15 @@ class PowerSeriesFn:
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         qt = self._check_annulus(q)
-        acc = ZERO
-        for n in self._orders:
-            acc = acc + side_mul(self.side, self.coeffs[n], qt ** n)
-        return acc
+        return side_dot(self.side, [self.coeffs[n] for n in self._orders],
+                        [qt ** n for n in self._orders])
 
     def usual_derivative(self, q: Quaternion) -> Quaternion:
         """The termwise formal derivative Sum n a_n qt^{n-1} (or mirrored)."""
         qt = self._check_annulus(q)
-        acc = ZERO
-        for n in self._orders:
-            if n != 0:
-                term = qt ** (n - 1) * n
-                acc = acc + side_mul(self.side, self.coeffs[n], term)
-        return acc
+        orders = [n for n in self._orders if n != 0]
+        return side_dot(self.side, [self.coeffs[n] for n in orders],
+                        [qt ** (n - 1) * n for n in orders])
 
     def derivative(self, q: Quaternion) -> Quaternion:
         """Restricted HR derivative: (usual derivative + ratio term) / 2.
@@ -176,10 +171,9 @@ class PowerSeriesFn:
         ratio is a real scalar, so a_n s = s a_n on either side.
         """
         qt = self._check_annulus(q)
-        ratio = ZERO
-        for n in self._orders:
-            if n != 0:
-                ratio = ratio + self.coeffs[n] * symmetric_ratio(qt, n)
+        orders = [n for n in self._orders if n != 0]
+        ratio = side_dot(Side.LEFT, [self.coeffs[n] for n in orders],
+                         [symmetric_ratio(qt, n) for n in orders])
         return (self.usual_derivative(q) + ratio) * 0.5
 
 
@@ -258,6 +252,19 @@ def _zpow(z: complex, n: int) -> complex:
     whose phase error ~ n pi 2^-53 swamps Im z^n next to the negative real
     axis.  Inverted first for n < 0 (z ** n is nan once z^-n overflows)."""
     return power_by_squaring(1 / z if n < 0 else z, abs(n), 1 + 0j)
+
+
+def _sech_sq(z: complex) -> complex:
+    """tanh'(z) = sech^2 z.  1 - tanh(z)^2 cancels once |Re z| is a few
+    units, and 4e/(1 + e)^2 with e = exp(-+2z), |e| <= 1, cancels in 1 + e
+    next to the poles on Re z = 0; each is taken where the other cancels.
+    e is squared from exp(-+z): 2 Im z could overflow."""
+    if -0.5 < z.real < 0.5:
+        return 1 - cmath.tanh(z) ** 2
+    e = cmath.exp(-z if z.real > 0.0 else z)
+    e = e * e
+    s = 1 + e
+    return 4 * e / (s * s)
 
 
 _SUBNORMAL_SLACK = 8 * 5e-324  # eight steps of the smallest subnormal
@@ -413,8 +420,7 @@ class Elementary:
 
 _EXP = Elementary("exp", cmath.exp, cmath.exp, lambda q: None)
 _LN = Elementary("ln", cmath.log, lambda z: 1 / z, _check_ln)
-_TANH = Elementary("tanh", cmath.tanh, lambda z: 1 - cmath.tanh(z) ** 2,
-                   _check_tanh)
+_TANH = Elementary("tanh", cmath.tanh, _sech_sq, _check_tanh)
 _NAMED = {fn.kind: fn for fn in (_EXP, _LN, _TANH)}
 
 #: exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0.

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import fd, hr, regular
 from .quaternion import (ONE, QI, QJ, QK, ZERO, AxisUnit, IMAGINARY_AXES,
-                         Quaternion, components_from_involutions, polar)
+                         Quaternion, components_from_involutions, polar,
+                         random_quaternion)
 from .regular import cosh_abs_sq, exp_q, ln_q, tanh_q
 
 
@@ -46,10 +47,6 @@ class SuiteReport:
     @property
     def worst_error(self) -> float:
         return _worst(c.worst_error for c in self.checks)
-
-
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(float(x) for x in rng.standard_normal(4) * scale))
 
 
 def random_pure_unit(rng: np.random.Generator) -> Quaternion:

@@ -304,6 +304,23 @@ def test_qlms_run_converges(tmp_path, capsys, recwarn):
     assert final <= 1e-6 * we[0] ** 0.5
 
 
+def test_qlms_run_failed_write_is_output_error(tmp_path, capsys, recwarn,
+                                              monkeypatch):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(GOOD_CONFIG.replace("iterations=2000", "iterations=5"))
+
+    def full_disk(record, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(quatgrad.qlms, "write_record_csv", full_disk)
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
+                             str(tmp_path / "out.csv"))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.splitlines()[-1] == \
+        "output error: [Errno 28] No space left on device"
+    assert "Traceback" not in err
+
+
 def test_qlms_run_csv_matches_library_run(tmp_path, capsys, recwarn):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD_CONFIG.replace("iterations=2000", "iterations=50"))
@@ -640,3 +657,32 @@ def test_subprocess_validate_and_qlms(tmp_path):
                          capture_output=True, text=True, env=_CHILD_ENV)
     assert run.returncode == EXIT_OK, run.stdout + run.stderr
     assert out.read_text().startswith("iteration,squared_error,weight_error_norm")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["eval-grad", "exp", "1+0i+0j+0k"],
+                                  ["validate", "algebra"]])
+def test_subprocess_closed_stdout_is_output_error(argv, unbuffered):
+    # the pipe's reading end is closed before the child starts, so its first
+    # write (unbuffered) or the flush of its buffer fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+            env={**_CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert run.returncode == EXIT_PARSE
+    assert run.stderr.startswith("output error: ")
+    assert run.stderr.count("\n") == 1, run.stderr
+
+
+def test_subprocess_without_stdout_is_no_traceback():
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    run = subprocess.run(
+        [sys.executable, "-m", "quatgrad", "eval-grad", "exp", "1+0i+0j+0k"],
+        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+        env=_CHILD_ENV)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")

@@ -16,6 +16,7 @@ from quatgrad import (AxisUnit, HRGradient, IDENTITY_GRADIENT, JACOBIAN,
                       qmat_from_real, qmat_mul, qmat_scale, real_from_left,
                       real_from_right, real_jacobian, real_valued_reduce,
                       right_from_real)
+from quatgrad.hr import side_dot
 
 finite = st.floats(min_value=-5.0, max_value=5.0,
                    allow_nan=False, allow_infinity=False)
@@ -138,6 +139,24 @@ def test_round_trip_both_sides_random(rng):
         g = RealGradient(*(rand_quat(rng) for _ in range(4)))
         assert grad_dist(real_from_left(left_from_real(g)), g) <= 1e-13
         assert grad_dist(real_from_right(right_from_real(g)), g) <= 1e-13
+
+
+# -- side_dot -----------------------------------------------------------------
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_side_dot_is_the_left_to_right_loop(rng, side):
+    # a zero factor gives signed-zero products, so comparing reprs also
+    # checks that the sum starts at ZERO and adds in the loop's order
+    zeros = Quaternion(-0.0, 0.0, -0.0, -0.0)
+    for count in range(8):
+        ps = [rand_quat(rng, 3.0 ** k) if k % 3 else zeros
+              for k in range(count)]
+        qs = [rand_quat(rng) for _ in range(count)]
+        want = ZERO
+        for p, q in zip(ps, qs):
+            want = want + (p * q if side is Side.LEFT else q * p)
+        assert repr(side_dot(side, ps, qs)) == repr(want)
+    assert side_dot(side, [], []) is ZERO
 
 
 # -- differential -------------------------------------------------------------

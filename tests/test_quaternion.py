@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -28,6 +31,20 @@ def test_numpy_components_become_python_floats():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails here
         with pytest.raises(NonFiniteComponent):
             big * big
+
+
+def test_copy_pickle_and_replace_round_trip():
+    # Quaternion has no __init__: these rebuild through __new__
+    q = Quaternion(1.5, -0.0, 2.0, -3.25)
+    for copied in (copy.copy(q), copy.deepcopy(q),
+                   pickle.loads(pickle.dumps(q)),
+                   pickle.loads(pickle.dumps(q, protocol=0))):
+        assert type(copied) is Quaternion and repr(copied) == repr(q)
+    replaced = dataclasses.replace(q, c=np.float64(7.0))
+    assert replaced == Quaternion(1.5, -0.0, 7.0, -3.25)
+    assert type(replaced.c) is float
+    with pytest.raises(NonFiniteComponent):
+        dataclasses.replace(q, d=math.inf)
 
 
 # -- multiplication ----------------------------------------------------------

@@ -216,6 +216,15 @@ def test_power_series_rejects_empty_coefficients_and_bad_annulus():
 
 # -- elementary closed forms ---------------------------------------------------
 
+@pytest.mark.parametrize("x", [0.3, -0.7, 5.0, -5.0, 10.0, 18.0, 25.0, -25.0,
+                               300.0])
+def test_tanh_real_derivative_is_sech_squared(x):
+    # 1 - tanh(x)^2 would cancel: 4.3e-2 relative error at 18, all at 25
+    with mpmath.workprec(200):
+        want = mpmath.sech(x) ** 2
+        assert abs(Elementary.tanh().real_derivative(x) - want) <= 1e-15 * want
+
+
 def test_exp_derivative_values():
     assert exp_derivative(ZERO) == ONE
     assert qdist(exp_derivative(Quaternion(2)), Quaternion(math.exp(2))) <= 1e-12
