@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError of the write; one on stdout (--help into
+        # a closed pipe, unbuffered) goes on to main, which reports it
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _seed(text: str) -> int:
     """An int >= 0, the seeds numpy's generators accept."""

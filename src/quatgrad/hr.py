@@ -18,9 +18,14 @@ The QJet type is a forward-mode carrier (value, RealGradient) propagated
 through arithmetic by the ordinary product rule, which remains valid for
 differentiation with respect to the real components.  Jets are the
 workhorse oracle: any composition of +, *, conjugation and inversion
-yields exact real partials, converted to HR form at the end.
+yields exact real partials, converted to HR form at the end.  Jet
+arithmetic, jet_pow and jet_exp run on float kernels over a jet's twenty
+floats, bit-identical to the Quaternion form; only results are built as
+Quaternions, checked finite, so an overflow inside jet_pow's or jet_exp's
+loop raises NonFiniteComponent once, at the end.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -225,81 +230,140 @@ def qmat_from_real(p) -> QMatrix:
 # Forward-mode jets
 # ---------------------------------------------------------------------------
 
+# A jet's floats are (value, dA, dB, dC, dD), each a float 4-tuple.  The
+# kernels below are the Quaternion forms of the QJet operations written
+# out on them: every product and sum of that form, zero terms included, in
+# its order, so results are bit-identical to it, signed zeros included.
+# Only the caller's results are built, by _raw, which checks them finite.
+
+_Z4 = (0.0, 0.0, 0.0, 0.0)
+_ONE_JET = ((1.0, 0.0, 0.0, 0.0), _Z4, _Z4, _Z4, _Z4)
+
+
+def _add4(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+
+
+def _sub4(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 - a2, b1 - b2, c1 - c2, d1 - d2)
+
+
+def _neg4(x):
+    a, b, c, d = x
+    return (-a, -b, -c, -d)
+
+
+def _conj4(x):
+    a, b, c, d = x
+    return (a, -b, -c, -d)
+
+
+def _jet_add(x, y):
+    return tuple(map(_add4, x, y))
+
+
+def _jet_mul(x, y):
+    """The product rule: value sv ov, partial df ov + sv dg."""
+    sv, f1, f2, f3, f4 = x
+    ov, g1, g2, g3, g4 = y
+    return (_hamilton(sv, ov),
+            _add4(_hamilton(f1, ov), _hamilton(sv, g1)),
+            _add4(_hamilton(f2, ov), _hamilton(sv, g2)),
+            _add4(_hamilton(f3, ov), _hamilton(sv, g3)),
+            _add4(_hamilton(f4, ov), _hamilton(sv, g4)))
+
+
+def _jet_floats(j: "QJet"):
+    g = j.grad
+    return (_floats(j.value), _floats(g.dA), _floats(g.dB), _floats(g.dC),
+            _floats(g.dD))
+
+
+def _as_floats(x):
+    """A jet operand's floats: a QJet, or a Quaternion or real constant."""
+    if isinstance(x, QJet):
+        return _jet_floats(x)
+    if isinstance(x, (int, float)):
+        x = Quaternion(float(x))
+    elif not isinstance(x, Quaternion):
+        return None
+    return (_floats(x), _Z4, _Z4, _Z4, _Z4)
+
+
+def _jet(x) -> "QJet":
+    """The QJet of a jet's floats: five _raw values, checked finite."""
+    value, dA, dB, dC, dD = x
+    return QJet(_raw(*value),
+                RealGradient(_raw(*dA), _raw(*dB), _raw(*dC), _raw(*dD)))
+
+
 @dataclass(frozen=True, slots=True)
 class QJet:
     """A function value together with its RealGradient at the base point.
 
     Arithmetic follows the ordinary order-preserving product rule on the
     real partials, so jets compose through any expression built from +, -,
-    *, conjugate() and inverse().
+    *, conjugate() and inverse().  Each operation unpacks its operands to
+    floats once, runs a kernel and builds its result.
     """
 
     value: Quaternion
     grad: RealGradient
 
     def __add__(self, other):
-        other = _as_jet(other)
+        other = _as_floats(other)
         if other is None:
             return NotImplemented
-        return QJet(self.value + other.value,
-                    RealGradient(*(a + b for a, b in
-                                   zip(self.grad.as_tuple(), other.grad.as_tuple()))))
+        return _jet(_jet_add(_jet_floats(self), other))
 
     __radd__ = __add__
 
+    # x - y is x + (-y) bit for bit, the Quaternion form's sum
+
     def __sub__(self, other):
-        other = _as_jet(other)
+        other = _as_floats(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _jet(tuple(map(_sub4, _jet_floats(self), other)))
 
     def __rsub__(self, other):
-        other = _as_jet(other)
+        other = _as_floats(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _jet(tuple(map(_sub4, other, _jet_floats(self))))
 
     def __neg__(self):
-        return QJet(-self.value, RealGradient(*(-p for p in self.grad.as_tuple())))
+        return _jet(tuple(map(_neg4, _jet_floats(self))))
 
     def __mul__(self, other):
-        other = _as_jet(other)
+        other = _as_floats(other)
         if other is None:
             return NotImplemented
-        value = self.value * other.value
-        parts = tuple(
-            df * other.value + self.value * dg
-            for df, dg in zip(self.grad.as_tuple(), other.grad.as_tuple())
-        )
-        return QJet(value, RealGradient(*parts))
+        return _jet(_jet_mul(_jet_floats(self), other))
 
     def __rmul__(self, other):
         # reached for constants on the left: other * self
-        other = _as_jet(other)
+        other = _as_floats(other)
         if other is None:
             return NotImplemented
-        return other * self
+        return _jet(_jet_mul(other, _jet_floats(self)))
 
     def conjugate(self) -> "QJet":
         """Conjugation commutes with the real partials."""
-        return QJet(self.value.conjugate(),
-                    RealGradient(*(p.conjugate() for p in self.grad.as_tuple())))
+        return _jet(tuple(map(_conj4, _jet_floats(self))))
 
     def inverse(self) -> "QJet":
-        """d(f^-1)/dq_phi = -f^-1 (df/dq_phi) f^-1."""
+        """d(f^-1)/dq_phi = -f^-1 (df/dq_phi) f^-1; f^-1 is the value's
+        Quaternion.inverse, which raises ZeroDivisionError at 0."""
         v = self.value.inverse()
-        parts = tuple(-(v * (p * v)) for p in self.grad.as_tuple())
-        return QJet(v, RealGradient(*parts))
-
-
-def _as_jet(x):
-    if isinstance(x, QJet):
-        return x
-    if isinstance(x, Quaternion):
-        return jet_const(x)
-    if isinstance(x, (int, float)):
-        return jet_const(Quaternion(float(x)))
-    return None
+        fv = _floats(v)
+        return QJet(v, RealGradient(*(
+            _raw(*_neg4(_hamilton(fv, _hamilton(_floats(p), fv))))
+            for p in self.grad.as_tuple())))
 
 
 def jet_seed(q: Quaternion) -> QJet:
@@ -312,13 +376,20 @@ def jet_const(c: Quaternion) -> QJet:
 
 
 def jet_pow(x: QJet, n: int) -> QJet:
-    """Integer power of a jet."""
+    """Integer power of a jet: n products on floats (the inverse first for
+    n < 0), one QJet built at the end."""
     if n < 0:
         return jet_pow(x.inverse(), -n)
-    result = jet_const(ONE)
+    x = _jet_floats(x)
+    result = _ONE_JET
     for _ in range(n):
-        result = result * x
-    return result
+        result = _jet_mul(result, x)
+    return _jet(result)
+
+
+def _const(s: float):
+    """The floats of the constant jet of the real s."""
+    return ((s, 0.0, 0.0, 0.0), _Z4, _Z4, _Z4, _Z4)
 
 
 def jet_exp(x: QJet) -> QJet:
@@ -327,23 +398,25 @@ def jet_exp(x: QJet) -> QJet:
     The argument is halved until its norm is below 1/2, the series is summed
     until terms fall below 1e-16 of the partial sum, and the result is
     squared back up.  Accuracy is machine-level for moderate arguments.
+    The loops run on floats, the real factors as constant-jet products, and
+    one QJet is built at the end: an overflow on the way shows there.
     """
+    x = _jet_floats(x)
     halvings = 0
-    scale = x.value.norm()
+    scale = math.hypot(*x[0])
     while scale > 0.5:
         scale *= 0.5
         halvings += 1
-    h = x * (0.5 ** halvings)
-    acc = jet_const(ONE)
-    term = jet_const(ONE)
+    h = _jet_mul(x, _const(0.5 ** halvings))
+    acc = term = _ONE_JET
     for n in range(1, 201):  # a cap: |h| <= 1/2 breaks out by n = 15
-        term = term * h * (1.0 / n)
-        acc = acc + term
-        if term.value.norm() <= 1e-16 * max(1.0, acc.value.norm()):
+        term = _jet_mul(_jet_mul(term, h), _const(1.0 / n))
+        acc = _jet_add(acc, term)
+        if math.hypot(*term[0]) <= 1e-16 * max(1.0, math.hypot(*acc[0])):
             break
     for _ in range(halvings):
-        acc = acc * acc
-    return acc
+        acc = _jet_mul(acc, acc)
+    return _jet(acc)
 
 
 def jet_tanh(x: QJet) -> QJet:

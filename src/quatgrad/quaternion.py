@@ -21,6 +21,7 @@ random_quaternion is the one standard-normal sampler.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -140,12 +141,15 @@ class Quaternion:
         return NotImplemented
 
     def __pow__(self, n):
-        """Integer power, negative exponents via the inverse."""
+        """Integer power, negative exponents via the inverse: squaring on
+        floats with _hamilton, the result built once (an overflow on the
+        way shows there)."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return power_by_squaring(self, n, ONE)
+        return _raw(*power_by_squaring((self.a, self.b, self.c, self.d), n,
+                                       (1.0, 0.0, 0.0, 0.0), _hamilton))
 
     # -- involutions -----------------------------------------------------
 
@@ -309,14 +313,16 @@ def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
     return Quaternion(*(rng.standard_normal(4) * scale))
 
 
-def power_by_squaring(x, n: int, one):
-    """x^n for n >= 0 in O(log n) products; x is a Quaternion or a complex."""
+def power_by_squaring(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 in O(log n) products mul(result, x) and mul(x, x),
+    starting from one: a complex with the default mul, a quaternion's float
+    4-tuple with mul=_hamilton."""
     result = one
     while n:
         if n & 1:
-            result = result * x
+            result = mul(result, x)
         n >>= 1
         if n:  # a square past the last bit could overflow needlessly
-            x = x * x
+            x = mul(x, x)
     return result
 

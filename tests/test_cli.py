@@ -686,3 +686,29 @@ def test_subprocess_without_stdout_is_no_traceback():
         preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
         env=_CHILD_ENV)
     assert (run.returncode, run.stderr) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["--help"], ["eval-grad", "--help"]])
+def test_subprocess_help_into_closed_stdout_is_output_error(argv, unbuffered):
+    # argparse's own write of the help text drops an OSError; unbuffered,
+    # that write is the one that fails, and it must reach main all the same
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+            env={**_CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert run.returncode == EXIT_PARSE
+    assert run.stderr.startswith("output error: "), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+
+
+def test_help_goes_to_stdout_and_usage_errors_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "") and out.startswith("usage: quatgrad")
+    code, out, err = run_cli(capsys, "eval-grad")
+    assert (code, out) == (EXIT_PARSE, "") and "usage: quatgrad" in err
