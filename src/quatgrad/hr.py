@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from .errors import NotRealValued, SideMismatch
+from .errors import NonFiniteComponent, NotRealValued, SideMismatch
 from .quaternion import (ONE, QI, QJ, QK, RESIDUE_TOL, ZERO, AxisUnit,
                          Quaternion, _UNITS4, _hamilton, _raw)
 
@@ -178,9 +178,7 @@ def differential(h: HRGradient, dq: Quaternion) -> Quaternion:
     left); right side places the involved steps on the left instead.  Both
     sides of the same function produce the same increment.
     """
-    steps = (dq, dq.involution(AxisUnit.I), dq.involution(AxisUnit.J),
-             dq.involution(AxisUnit.K))
-    return side_dot(h.side, h.as_tuple(), steps)
+    return side_dot(h.side, h.as_tuple(), map(dq.involution, AxisUnit))
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +244,6 @@ def _add4(x, y):
     return (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
 
 
-def _sub4(x, y):
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 - a2, b1 - b2, c1 - c2, d1 - d2)
-
-
 def _neg4(x):
     a, b, c, d = x
     return (-a, -b, -c, -d)
@@ -264,6 +256,14 @@ def _conj4(x):
 
 def _jet_add(x, y):
     return tuple(map(_add4, x, y))
+
+
+def _jet_neg(x):
+    return tuple(map(_neg4, x))
+
+
+def _jet_sub(x, y):  # x + (-y) is x - y bit for bit
+    return _jet_add(x, _jet_neg(y))
 
 
 def _jet_mul(x, y):
@@ -301,6 +301,18 @@ def _jet(x) -> "QJet":
                 RealGradient(_raw(*dA), _raw(*dB), _raw(*dC), _raw(*dD)))
 
 
+def _operator(kernel, reflected=False):
+    """A QJet binary operator: kernel over both operands' floats, the other
+    first if reflected; NotImplemented if it is no QJet, Quaternion or real."""
+    def op(self, other):
+        other = _as_floats(other)
+        if other is None:
+            return NotImplemented
+        x = _jet_floats(self)
+        return _jet(kernel(other, x) if reflected else kernel(x, other))
+    return op
+
+
 @dataclass(frozen=True, slots=True)
 class QJet:
     """A function value together with its RealGradient at the base point.
@@ -314,43 +326,15 @@ class QJet:
     value: Quaternion
     grad: RealGradient
 
-    def __add__(self, other):
-        other = _as_floats(other)
-        if other is None:
-            return NotImplemented
-        return _jet(_jet_add(_jet_floats(self), other))
-
-    __radd__ = __add__
-
-    # x - y is x + (-y) bit for bit, the Quaternion form's sum
-
-    def __sub__(self, other):
-        other = _as_floats(other)
-        if other is None:
-            return NotImplemented
-        return _jet(tuple(map(_sub4, _jet_floats(self), other)))
-
-    def __rsub__(self, other):
-        other = _as_floats(other)
-        if other is None:
-            return NotImplemented
-        return _jet(tuple(map(_sub4, other, _jet_floats(self))))
+    __add__ = _operator(_jet_add)
+    __radd__ = _operator(_jet_add, reflected=True)
+    __sub__ = _operator(_jet_sub)
+    __rsub__ = _operator(_jet_sub, reflected=True)
+    __mul__ = _operator(_jet_mul)
+    __rmul__ = _operator(_jet_mul, reflected=True)
 
     def __neg__(self):
-        return _jet(tuple(map(_neg4, _jet_floats(self))))
-
-    def __mul__(self, other):
-        other = _as_floats(other)
-        if other is None:
-            return NotImplemented
-        return _jet(_jet_mul(_jet_floats(self), other))
-
-    def __rmul__(self, other):
-        # reached for constants on the left: other * self
-        other = _as_floats(other)
-        if other is None:
-            return NotImplemented
-        return _jet(_jet_mul(other, _jet_floats(self)))
+        return _jet(_jet_neg(_jet_floats(self)))
 
     def conjugate(self) -> "QJet":
         """Conjugation commutes with the real partials."""
@@ -399,11 +383,14 @@ def jet_exp(x: QJet) -> QJet:
     until terms fall below 1e-16 of the partial sum, and the result is
     squared back up.  Accuracy is machine-level for moderate arguments.
     The loops run on floats, the real factors as constant-jet products, and
-    one QJet is built at the end: an overflow on the way shows there.
+    one QJet is built at the end: an overflow on the way shows there.  A
+    value whose norm overflows raises NonFiniteComponent before the loops.
     """
     x = _jet_floats(x)
     halvings = 0
     scale = math.hypot(*x[0])
+    if scale == math.inf:  # halving inf would never end
+        raise NonFiniteComponent("jet_exp: the norm of the value overflows")
     while scale > 0.5:
         scale *= 0.5
         halvings += 1
@@ -423,8 +410,10 @@ def jet_tanh(x: QJet) -> QJet:
     """tanh of a jet via tanh q = (e^{2q} - 1)(e^{2q} + 1)^-1.
 
     Numerator and denominator commute (both are power series in q), so the
-    quotient order is immaterial.  Raises ZeroDivisionError at the poles of
-    tanh where e^{2q} + 1 vanishes.
+    quotient order is immaterial.  There is no pole check: at the floats
+    nearest the poles e^{2q} + 1 is rounding-small, not 0, and the result
+    is huge and finite (value -4503599627370495.0 at jet_seed(pi/2 i));
+    callers avoid them with regular.cosh_abs_sq, as validate.tanh_safe does.
     """
     e2 = jet_exp(x * 2.0)
     return (e2 - ONE) * (e2 + ONE).inverse()
@@ -483,18 +472,7 @@ def chain_matrix_involutions(g_grad: RealGradient,
     gradient composes to a wrong result.
     """
     return _qmat(hr_from_real(g_grad.involution(axis), side).as_tuple()
-                 for axis in (AxisUnit.ONE, AxisUnit.I, AxisUnit.J, AxisUnit.K))
-
-
-def chain_matrix_components(g_grad: RealGradient) -> QMatrix:
-    """O with O[phi][nu] = d(g_phi)/d(q^nu): HR partials of the four real
-    components of g."""
-    rows = []
-    for phi in range(4):
-        component_grad = RealGradient(
-            *(Quaternion((p.a, p.b, p.c, p.d)[phi]) for p in g_grad.as_tuple()))
-        rows.append(hr_from_real(component_grad, Side.LEFT).as_tuple())
-    return _qmat(rows)
+                 for axis in AxisUnit)
 
 
 def real_jacobian(g_grad: RealGradient):
@@ -502,8 +480,15 @@ def real_jacobian(g_grad: RealGradient):
 
     Satisfies 4 J P J^H = chain_matrix_involutions(g_grad).
     """
-    cols = [(p.a, p.b, p.c, p.d) for p in g_grad.as_tuple()]
-    return [[cols[beta][phi] for beta in range(4)] for phi in range(4)]
+    return [list(row) for row in zip(*map(_floats, g_grad.as_tuple()))]
+
+
+def chain_matrix_components(g_grad: RealGradient) -> QMatrix:
+    """O with O[phi][nu] = d(g_phi)/d(q^nu): HR partials of the four real
+    components of g, whose real partials are the rows of real_jacobian."""
+    return _qmat(hr_from_real(RealGradient(*map(Quaternion, row)),
+                              Side.LEFT).as_tuple()
+                 for row in real_jacobian(g_grad))
 
 
 def _compose(outer_parts, m: QMatrix, side: Side) -> HRGradient:

@@ -68,12 +68,11 @@ class Quaternion:
     def norm(self) -> float:
         return math.hypot(self.a, self.b, self.c, self.d)
 
+    __abs__ = norm
+
     def imag_norm(self) -> float:
         """v = |I(q)|."""
         return math.hypot(self.b, self.c, self.d)
-
-    def __abs__(self) -> float:
-        return self.norm()
 
     def inverse(self) -> "Quaternion":
         """q^-1 = q* / |q|^2."""
@@ -124,13 +123,8 @@ class Quaternion:
                         self.c * other, self.d * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # only reached for real scalars; quaternion*quaternion uses __mul__
-        if isinstance(other, (int, float)):
-            other = float(other)
-            return _raw(self.a * other, self.b * other,
-                        self.c * other, self.d * other)
-        return NotImplemented
+    # only reached for real scalars, which commute
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         # division by a quaternion is ambiguous (left vs right); use inverse()

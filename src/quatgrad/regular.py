@@ -97,17 +97,12 @@ def power_derivative_oracle(q: Quaternion, center: Quaternion, n: int) -> Quater
     if n == 0:
         return ZERO
     if n >= 1:
-        acc = ZERO
-        power = Quaternion(1.0)  # qt^m
-        # precompute real parts of qt^0 .. qt^{n-1}
-        reals = []
-        p = Quaternion(1.0)
+        powers = [Quaternion(1.0)]  # qt^0 .. qt^n
         for _ in range(n):
-            reals.append(p.a)
-            p = p * qt
+            powers.append(powers[-1] * qt)
+        acc = ZERO
         for m in range(n):
-            acc = acc + power * reals[n - 1 - m]
-            power = power * qt
+            acc = acc + powers[m] * powers[n - 1 - m].a
         return acc
     qinv = qt.inverse()
     d = -(qinv * qinv.a)

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import qdist, rand_quat
+import quatgrad
 from quatgrad import (AxisUnit, HRGradient, IDENTITY_GRADIENT, JACOBIAN,
                       NotRealValued, ONE, QI, QJ, QK, Quaternion,
                       RealGradient, Side, SideMismatch, ZERO,
@@ -281,6 +286,36 @@ def test_jet_exp_matches_closed_form_value(rng):
         q = rand_quat(rng)
         jet = jet_exp(jet_seed(q))
         assert qdist(jet.value, exp_q(q)) <= 1e-12 * max(1.0, abs(exp_q(q)))
+
+
+@pytest.mark.parametrize("compute", [
+    lambda j: j + None, lambda j: "x" - j, lambda j: j * [1],
+    lambda j: [1] * j,
+], ids=["jet + None", '"x" - jet', "jet * [1]", "[1] * jet"])
+def test_jet_unsupported_operands_raise_type_error(compute):
+    with pytest.raises(TypeError):
+        compute(jet_seed(Quaternion(1.0, 2.0, 3.0, 4.0)))
+
+
+# jet_exp halves the value's norm until it is below 1/2, which never ends
+# for an inf norm, so it runs in a child process with a timeout
+_OVERFLOWING_NORM = """
+from quatgrad import NonFiniteComponent, Quaternion, jet_exp, jet_seed, jet_tanh
+for f, x in ((jet_exp, 1e308), (jet_tanh, 8e307)):
+    try:
+        f(jet_seed(Quaternion(x, x, x, x)))
+    except NonFiniteComponent:
+        continue
+    raise SystemExit(f"{f.__name__} returned")
+"""
+
+
+def test_jet_exp_of_an_overflowing_norm_raises():
+    src = str(Path(quatgrad.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _OVERFLOWING_NORM],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
 
 
 # -- product rules ------------------------------------------------------------

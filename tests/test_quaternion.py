@@ -331,6 +331,23 @@ def test_numpy_scalar_operand_gives_python_float_components():
     assert q * s == q * 2.5 and s - q == 2.5 - q
 
 
+@pytest.mark.parametrize("compute", [
+    lambda q: q + "x", lambda q: "x" * q, lambda q: [1] * q, lambda q: q / q,
+    lambda q: q ** 0.5,
+], ids=['q + "x"', '"x" * q', "[1] * q", "q / q", "q ** 0.5"])
+def test_unsupported_operands_raise_type_error(compute):
+    # each operator returns NotImplemented for them, __rmul__ (= __mul__) too
+    with pytest.raises(TypeError):
+        compute(Quaternion(1.0, -2.0, 3.0, -4.0))
+
+
+def test_numpy_scalar_times_quaternion_is_a_quaternion():
+    r = np.float64(2.5) * Quaternion(1.0, -2.0, 3.0, -4.0)
+    assert type(r) is Quaternion
+    assert all(type(x) is float for x in _components(r))
+    assert r == Quaternion(2.5, -5.0, 7.5, -10.0)
+
+
 @pytest.mark.parametrize("compute, first", [
     # b = -inf and c = inf: the message names b's
     (lambda: Quaternion(1e200) * Quaternion(0.0, -1e200, 1e200, 0.0), "-inf"),
