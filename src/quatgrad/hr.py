@@ -31,8 +31,8 @@ from enum import Enum
 from functools import partial
 
 from .errors import NonFiniteComponent, NotRealValued, SideMismatch
-from .quaternion import (ONE, QI, QJ, QK, RESIDUE_TOL, ZERO, AxisUnit,
-                         Quaternion, _UNITS4, _hamilton, _raw)
+from .quaternion import (IMAGINARY_AXES, ONE, QI, QJ, QK, RESIDUE_TOL, ZERO,
+                         AxisUnit, Quaternion, _UNITS4, _hamilton, _raw)
 
 
 class Side(Enum):
@@ -383,8 +383,9 @@ def jet_exp(x: QJet) -> QJet:
     until terms fall below 1e-16 of the partial sum, and the result is
     squared back up.  Accuracy is machine-level for moderate arguments.
     The loops run on floats, the real factors as constant-jet products, and
-    one QJet is built at the end: an overflow on the way shows there.  A
-    value whose norm overflows raises NonFiniteComponent before the loops.
+    one QJet is built at the end: an overflow on the way shows there, and
+    the squarings stop at the first non-finite value component.  A value
+    whose norm overflows raises NonFiniteComponent before the loops.
     """
     x = _jet_floats(x)
     halvings = 0
@@ -403,6 +404,8 @@ def jet_exp(x: QJet) -> QJet:
             break
     for _ in range(halvings):
         acc = _jet_mul(acc, acc)
+        if not all(map(math.isfinite, acc[0])):
+            break  # inf and nan stay non-finite, and _jet raises on them
     return _jet(acc)
 
 
@@ -516,8 +519,7 @@ def chain_rule_second(outer_real: RealGradient, o: QMatrix,
 
 def _check_real_valued(h: HRGradient, what: str) -> None:
     tol = RESIDUE_TOL * max(1.0, abs(h.d1))
-    for axis, partial in zip((AxisUnit.I, AxisUnit.J, AxisUnit.K),
-                             (h.dI, h.dJ, h.dK)):
+    for axis, partial in zip(IMAGINARY_AXES, (h.dI, h.dJ, h.dK)):
         residue = abs(partial - h.d1.involution(axis))
         if residue > tol:
             raise NotRealValued(

@@ -23,6 +23,7 @@ random_quaternion is the one standard-normal sampler.
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,9 @@ from .errors import InconsistentQuadruple, NonFiniteComponent
 #: A residue that is zero in exact arithmetic is rounding up to this much,
 #: relative to max(1, |.|) of the value it is measured against.
 RESIDUE_TOL = 1e-10
+
+#: The normal float range, where |q|^2 needs no scaling before 1 / |q|^2.
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -75,11 +79,26 @@ class Quaternion:
         return math.hypot(self.b, self.c, self.d)
 
     def inverse(self) -> "Quaternion":
-        """q^-1 = q* / |q|^2."""
+        """q^-1 = q* / |q|^2, across the float range.
+
+        Where |q|^2 overflows or is subnormal, q is scaled by the power of
+        two 2^-e of its largest component (exact), inverted, and the result
+        scaled by 2^-e.  ZeroDivisionError only at q = 0; NonFiniteComponent
+        where q^-1 itself overflows.
+        """
         n2 = self.norm_sq()
-        if n2 == 0.0:
+        if _NORMAL_MIN <= n2 <= _NORMAL_MAX:
+            return _raw(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)
+        largest = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        if largest == 0.0:
             raise ZeroDivisionError("inverse of the zero quaternion")
-        return _raw(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)
+        e = math.frexp(largest)[1]
+        a, b, c, d = (math.ldexp(x, -e) for x in (self.a, self.b, self.c, self.d))
+        n2 = a * a + b * b + c * c + d * d
+        try:
+            return _raw(*(math.ldexp(x / n2, -e) for x in (a, -b, -c, -d)))
+        except OverflowError:
+            raise NonFiniteComponent(f"inverse of {self} overflows") from None
 
     # -- arithmetic ------------------------------------------------------
 

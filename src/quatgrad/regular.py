@@ -179,18 +179,15 @@ def exp_series(n_max: int = 30) -> PowerSeriesFn:
 
 
 def _tangent_numbers(count: int) -> list[int]:
-    """Tangent numbers T_1..T_count (1, 2, 16, 272, ...) via the
-    Entringer/boustrophedon triangle; exact integers."""
-    zigzag = [1]
-    rows = [[1]]
-    for i in range(1, 2 * count):
-        prev = rows[-1]
-        row = [0]
-        for j in range(i):
-            row.append(row[-1] + prev[i - 1 - j])
-        rows.append(row)
-        zigzag.append(row[-1])
-    return [zigzag[2 * m - 1] for m in range(1, count + 1)]
+    """Tangent numbers T_1..T_count (1, 2, 16, 272, ...) by Knuth and
+    Buckholtz's recurrence, in place over one list; exact integers."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:count + 1]  # count = 0 gives []
 
 
 def tanh_series(n_max: int = 61) -> PowerSeriesFn:

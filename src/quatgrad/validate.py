@@ -49,14 +49,6 @@ class SuiteReport:
         return _worst(c.worst_error for c in self.checks)
 
 
-def random_pure_unit(rng: np.random.Generator) -> Quaternion:
-    while True:
-        v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
-        if n > 1e-3:
-            return Quaternion(0.0, *(float(x) / n for x in v))
-
-
 def _accepted(rng: np.random.Generator, count: int, accept):
     """The first count random_quaternion draws that pass accept."""
     while count:
@@ -64,6 +56,11 @@ def _accepted(rng: np.random.Generator, count: int, accept):
         if accept(q):
             count -= 1
             yield q
+
+
+def random_pure_unit(rng: np.random.Generator) -> Quaternion:
+    """The axis of the first random_quaternion draw with |I(q)| > 1e-3."""
+    return polar(next(_accepted(rng, 1, lambda q: q.imag_norm() > 1e-3))).imag_axis
 
 
 def random_quaternion_in_shell(rng: np.random.Generator, lo: float = 0.4,
@@ -95,13 +92,9 @@ def _verdicts(name: str, oks, worst: float = 0.0, lines=None) -> CheckResult:
     return CheckResult(name, passed, len(oks) - passed, worst, lines or [])
 
 
-def _dist(p: Quaternion, q: Quaternion) -> float:
-    return abs(p - q)
-
-
 def _gap(x, y) -> float:
     """The largest part-wise distance of two gradients."""
-    return max(_dist(a, b) for a, b in zip(x.as_tuple(), y.as_tuple()))
+    return max(abs(a - b) for a, b in zip(x.as_tuple(), y.as_tuple()))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +113,7 @@ _UNITS = {"1": ONE, "i": QI, "j": QJ, "k": QK,
 
 def suite_algebra(rng: np.random.Generator) -> Iterator[CheckResult]:
     yield _tally("multiplication table (exact)",
-                 (_dist(_UNITS[x] * _UNITS[y], _UNITS[want])
+                 (abs(_UNITS[x] * _UNITS[y] - _UNITS[want])
                   for (x, y), want in _TABLE.items()), 0.0)
 
     errors = []
@@ -130,21 +123,19 @@ def suite_algebra(rng: np.random.Generator) -> Iterator[CheckResult]:
         errors.append(abs((q * q.conjugate()).a - n2) / max(1.0, n2))
         errors.append((q * q.conjugate()).imag_norm() / max(1.0, n2))
         if n2 > 1e-6:
-            errors.append(_dist(q * q.inverse(), ONE))
+            errors.append(abs(q * q.inverse() - ONE))
     yield _tally("q q* = |q|^2 and q q^-1 = 1", errors, 1e-13)
 
     errors = []
     for _ in range(1000):
         q = random_quaternion(rng)
-        quad = tuple(q.involution(axis) for axis in
-                     (AxisUnit.ONE, AxisUnit.I, AxisUnit.J, AxisUnit.K))
+        quad = tuple(map(q.involution, AxisUnit))
         rec = components_from_involutions(*quad)
         errors.append(max(abs(x - y) for x, y in
                           zip(rec, (q.a, q.b, q.c, q.d))))
         total = quad[0] + quad[1] + quad[2] + quad[3]
-        errors.append(_dist(total, Quaternion(4.0 * q.a)))
-        errors.append(_dist(quad[1] + quad[2] + quad[3] - q,
-                            q.conjugate() * 2.0))
+        errors.append(abs(total - Quaternion(4.0 * q.a)))
+        errors.append(abs(quad[1] + quad[2] + quad[3] - q - q.conjugate() * 2.0))
     yield _tally("involution recovery and relations", errors, 1e-13)
 
     errors = []
@@ -152,10 +143,10 @@ def suite_algebra(rng: np.random.Generator) -> Iterator[CheckResult]:
         q = random_quaternion(rng)
         p = polar(q)
         if p.imag_axis is not None:
-            errors.append(_dist(p.imag_axis * p.imag_axis, -ONE))
-            errors.append(_dist(Quaternion(p.real_part) + p.imag_axis * p.imag_norm, q))
+            errors.append(abs(p.imag_axis * p.imag_axis + ONE))
+            errors.append(abs(Quaternion(p.real_part) + p.imag_axis * p.imag_norm - q))
         else:
-            errors.append(_dist(Quaternion(p.real_part), q))
+            errors.append(abs(Quaternion(p.real_part) - q))
     yield _tally("polar reconstruction, vhat^2 = -1", errors, 1e-13)
 
     errors = []
@@ -172,7 +163,7 @@ def suite_algebra(rng: np.random.Generator) -> Iterator[CheckResult]:
             continue
         e_pos, e_neg = exp_q(q), exp_q(-q)
         quotient = (e_pos - e_neg) * (e_pos + e_neg).inverse()
-        errors.append(_dist(quotient, tanh_q(q)))
+        errors.append(abs(quotient - tanh_q(q)))
     yield _tally("tanh quotient form vs closed form", errors, 1e-12)
 
 
@@ -183,7 +174,7 @@ def suite_algebra(rng: np.random.Generator) -> Iterator[CheckResult]:
 def suite_rules(rng: np.random.Generator) -> Iterator[CheckResult]:
     jh = hr.qmat_conj_transpose(hr.JACOBIAN)
     yield _tally("J J^H = J^H J = I/4 (exact)",
-                 (_dist(product[i][j], Quaternion(0.25) if i == j else ZERO)
+                 (abs(product[i][j] - (Quaternion(0.25) if i == j else ZERO))
                   for product in (hr.qmat_mul(hr.JACOBIAN, jh),
                                   hr.qmat_mul(jh, hr.JACOBIAN))
                   for i in range(4) for j in range(4)), 0.0)
@@ -196,25 +187,25 @@ def suite_rules(rng: np.random.Generator) -> Iterator[CheckResult]:
 
     q = random_quaternion(rng)
     h_id = hr.left_from_real(hr.jet_seed(q).grad)
-    errors = [_dist(a, b) for a, b in
+    errors = [abs(a - b) for a, b in
               zip(h_id.as_tuple(), (ONE, ZERO, ZERO, ZERO))]
     h_conj = hr.left_from_real(hr.jet_seed(q).conjugate().grad)
-    errors.append(_dist(h_conj.d1, Quaternion(-0.5)))
+    errors.append(abs(h_conj.d1 - Quaternion(-0.5)))
     for axis in IMAGINARY_AXES:
         u = axis.unit
         jet = (-u) * hr.jet_seed(q) * u
-        errors.append(_dist(hr.left_from_real(jet.grad).d1, ZERO))
+        errors.append(abs(hr.left_from_real(jet.grad).d1))
     c = random_quaternion(rng)
     jet_cq = c * hr.jet_seed(q)
-    errors.append(_dist(hr.left_from_real(jet_cq.grad).d1, c))
-    errors.append(_dist(hr.right_from_real(jet_cq.grad).d1, Quaternion(c.a)))
+    errors.append(abs(hr.left_from_real(jet_cq.grad).d1 - c))
+    errors.append(abs(hr.right_from_real(jet_cq.grad).d1 - Quaternion(c.a)))
     yield _tally("basic derivatives (q, q*, q^nu, cq)", errors, 0.0)
 
     errors = []
     for _ in range(100):
         q = random_quaternion(rng)
         h2 = hr.left_from_real((hr.jet_seed(q) * hr.jet_seed(q)).grad)
-        errors.extend(_dist(a, b) for a, b in
+        errors.extend(abs(a - b) for a, b in
                       zip(h2.as_tuple(), (q + q.a, QI * q.b, QJ * q.c, QK * q.d)))
     yield _tally("non-independence of q^2 (involution slots)", errors, 1e-12)
 
@@ -244,13 +235,13 @@ def suite_rules(rng: np.random.Generator) -> Iterator[CheckResult]:
         lhs = hr.left_from_real((alpha * f_jet + beta * g_jet).grad)
         hf = hr.left_from_real(f_jet.grad)
         hg = hr.left_from_real(g_jet.grad)
-        errors.extend(_dist(x, alpha * f + beta * g) for x, f, g in
+        errors.extend(abs(x - (alpha * f + beta * g)) for x, f, g in
                       zip(lhs.as_tuple(), hf.as_tuple(), hg.as_tuple()))
     yield _tally("left-linearity", errors, 1e-12)
     d_right = hr.left_from_real(
         (hr.jet_seed(Quaternion(0.3, -0.7, 1.1, 0.4)) * QI).grad).d1
     yield _verdicts("right-multiplication linearity fails (witness)",
-                    [_dist(d_right, QI) > 0.5])
+                    [abs(d_right - QI) > 0.5])
 
     # jets over {q, q*, q^2, cq}
     c = random_quaternion(rng)
@@ -286,7 +277,7 @@ def suite_rules(rng: np.random.Generator) -> Iterator[CheckResult]:
         errors.extend(_gap(direct, via) for via in (via1, via2))
         m2 = hr.qmat_scale(hr.qmat_mul(hr.qmat_mul(
             hr.JACOBIAN, hr.qmat_from_real(hr.real_jacobian(g_jet.grad))), jh), 4.0)
-        matrix_errors.append(max(_dist(m[i][j], m2[i][j])
+        matrix_errors.append(max(abs(m[i][j] - m2[i][j])
                             for i in range(4) for j in range(4)))
     yield _tally("chain rules 1 and 2 vs jet composition", errors, 1e-11)
     yield _tally("4 J P J^H = M", matrix_errors, 1e-12)
@@ -303,9 +294,9 @@ def suite_rules(rng: np.random.Generator) -> Iterator[CheckResult]:
             hl = hr.left_from_real(jet.grad)
             errors.append(_gap(hl, hr.right_from_real(jet.grad)))
             for axis, part in zip(IMAGINARY_AXES, (hl.dI, hl.dJ, hl.dK)):
-                errors.append(_dist(part, hl.d1.involution(axis)))
-        errors.append(_dist(hr.real_valued_reduce(
-            hr.left_from_real(seeds[0].grad)), q.conjugate() * 0.5))
+                errors.append(abs(part - hl.d1.involution(axis)))
+        errors.append(abs(hr.real_valued_reduce(
+            hr.left_from_real(seeds[0].grad)) - q.conjugate() * 0.5))
     yield _tally("real-valued gradient identities", errors, 1e-12)
 
 
@@ -346,7 +337,7 @@ def suite_series(rng: np.random.Generator) -> Iterator[CheckResult]:
         literal = (q ** n - q.conjugate() ** n) * (q - q.conjugate()).inverse()
         s = regular.symmetric_ratio(q, n)
         errors.append(literal.imag_norm() / max(1.0, abs(literal)))
-        errors.append(_dist(literal, Quaternion(s)) / max(1.0, abs(s)))
+        errors.append(abs(literal - Quaternion(s)) / max(1.0, abs(s)))
     yield _tally("symmetric ratio is real = literal quotient", errors, 1e-13)
 
     errors = []
@@ -356,8 +347,8 @@ def suite_series(rng: np.random.Generator) -> Iterator[CheckResult]:
         q = random_quaternion(rng, 0.5)
         if abs(q) > 1.0:
             continue
-        errors.append(_dist(exp_fn.derivative(q), regular.exp_derivative(q)))
-        errors.append(_dist(tanh_fn.derivative(q), regular.tanh_derivative(q)))
+        errors.append(abs(exp_fn.derivative(q) - regular.exp_derivative(q)))
+        errors.append(abs(tanh_fn.derivative(q) - regular.tanh_derivative(q)))
     yield _tally("series derivatives vs closed forms (|q| <= 1)", errors, 1e-8)
 
     errors = []
@@ -367,7 +358,7 @@ def suite_series(rng: np.random.Generator) -> Iterator[CheckResult]:
                   for n in range(-3, 6)}
         left = regular.PowerSeriesFn(ZERO, coeffs, hr.Side.LEFT, (0.1, 2.0))
         right = regular.PowerSeriesFn(ZERO, coeffs, hr.Side.RIGHT, (0.1, 2.0))
-        errors.append(_dist(left.derivative(q), right.derivative(q)))
+        errors.append(abs(left.derivative(q) - right.derivative(q)))
     yield _tally("real coefficients: left series == right", errors, 1e-12)
 
 

@@ -393,6 +393,30 @@ def test_qlms_run_bad_configs(tmp_path, capsys, bad):
     assert code == EXIT_PARSE
 
 
+def test_config_blank_lines_between_keys_are_skipped(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("M=4\n\nmu=0.05\n   \niterations=10\n"
+                        "noise_power=0\n\nseed=1\n")
+    cfg = load_experiment_config(cfg_path)
+    assert (cfg.filter_length, cfg.step_size, cfg.iterations,
+            cfg.noise_power, cfg.rng_seed) == (4, 0.05, 10, 0.0, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("M=4\n\nmu 0.05\niterations=10\nnoise_power=0\nseed=1\n",
+     "config error: line 3: expected key=value, got 'mu 0.05'"),
+    ("M=4\nmu=0.05\niterations=10\n\nM=8\nnoise_power=0\nseed=1\n",
+     "config error: line 5: duplicate key 'M'"),
+])
+def test_qlms_run_config_line_errors(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
+    assert not out_path.exists()
+
+
 def test_qlms_run_negative_seed_with_weights(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"

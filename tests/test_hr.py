@@ -318,6 +318,18 @@ def test_jet_exp_of_an_overflowing_norm_raises():
     assert run.returncode == 0, run.stderr
 
 
+def test_jet_exp_stops_squaring_at_the_overflow(monkeypatch):
+    # 1e300 halves about 1,000 times; squaring all the way back up made
+    # 1,027 jet products, though the value is inf after about 30 of them
+    calls = []
+    mul = quatgrad.hr._jet_mul
+    monkeypatch.setattr(quatgrad.hr, "_jet_mul",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    with pytest.raises(quatgrad.NonFiniteComponent):
+        jet_exp(jet_seed(Quaternion(1e300)))
+    assert len(calls) <= 100
+
+
 # -- product rules ------------------------------------------------------------
 
 def _jet_builders(rng):

@@ -277,7 +277,7 @@ def typed_outcome(f, *args):
 
 
 # components of every scale the kernels meet, with signed zeros, and
-# 1e-300 (its square underflows, so an inverse raises ZeroDivisionError)
+# 1e-300 (its square underflows, so an inverse takes the scaled path)
 # and 1e300 (products overflow) now and then
 extremes = st.sampled_from([1e-300, -1e-300, 1e300, -1e300])
 jet_components = st.one_of(components, components, components, extremes)

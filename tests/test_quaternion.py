@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from conftest import qdist, rand_quat, tanh_safe
 from quatgrad import (AxisUnit, DomainError, InconsistentQuadruple,
                       NonFiniteComponent, ONE, PoleError, QI, QJ, QK, Quaternion, ZERO,
                       components_from_involutions, cosh_abs_sq, exp_q,
-                      isclose, ln_q, polar, tanh_q)
+                      isclose, jet_pow, jet_seed, ln_q, polar,
+                      power_derivative, power_derivative_oracle, tanh_q)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -375,6 +377,68 @@ def test_inverse_of_the_smallest_norms_is_finite():
     for q in (Quaternion(1e-160), Quaternion(3e-162, -0.0, 0.0, 1e-170)):
         inv = q.inverse()
         assert all(math.isfinite(x) for x in _components(inv))
+
+
+def _exact_inverse(q):
+    """q* / |q|^2 in exact rationals, each component rounded once."""
+    parts = [Fraction(x) for x in _components(q)]
+    n2 = sum(x * x for x in parts)
+    return Quaternion(*(float(s * x / n2)
+                        for s, x in zip((1, -1, -1, -1), parts)))
+
+
+# |q|^2 overflows above |q| ~ 1.34e154 and is subnormal below ~1.5e-154;
+# the inverse scales q by a power of two there
+@pytest.mark.parametrize("x", [1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300,
+                               1.7e308, -1.7e308])
+def test_inverse_holds_across_the_float_range(x):
+    for q in (Quaternion(x), Quaternion(x, x), Quaternion(x, -x, x, x),
+              Quaternion(0.0, x * 1e-8, -x, 0.5 * x)):
+        inv = q.inverse()
+        assert qdist(q * inv, ONE) <= 1e-15
+        assert qdist(inv, _exact_inverse(q)) <= 1e-15 * abs(inv)
+
+
+@pytest.mark.parametrize("q", [
+    Quaternion(1e155, 1e155),    # |q|^2 overflowed: the inverse was 0
+    Quaternion(1e-160, 1e-160),  # subnormal |q|^2: 1.1e-5 relative error
+    Quaternion(1e-200, 1e-200),  # |q|^2 underflowed: ZeroDivisionError
+])
+def test_inverse_where_the_squared_norm_leaves_the_normal_range(q):
+    assert q.inverse() == _exact_inverse(q)
+
+
+def test_inverse_in_the_normal_range_is_the_plain_formula(rng):
+    # bit for bit q* / |q|^2 wherever |q|^2 is a normal float
+    for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+        for _ in range(200):
+            q = rand_quat(rng) * scale
+            assert q.inverse() == q.conjugate() / q.norm_sq()
+
+
+def test_inverse_raises_only_at_zero_and_on_overflow():
+    for q in (ZERO, Quaternion(-0.0, 0.0, -0.0, 0.0)):
+        with pytest.raises(ZeroDivisionError):
+            q.inverse()
+    # 1 / 5e-324 and 1 / 1e-310 are past the float range
+    for q in (Quaternion(5e-324), Quaternion(0.0, 0.0, -1e-310)):
+        with pytest.raises(NonFiniteComponent):
+            q.inverse()
+    assert abs(Quaternion(1e-308).inverse().a - 1e308) <= 1e-15 * 1e308
+
+
+def test_inverse_routes_inherit_the_float_range():
+    q = Quaternion(1e155, 1e155)
+    inv = q.inverse()
+    assert q ** -1 == inv
+    assert jet_seed(q).inverse().value == inv
+    assert jet_pow(jet_seed(q), -1).value == inv
+    # d(q^-1)/dq = -q^-1 R(q^-1): the oracle and the closed form were both
+    # zero in the i part while the inverse underflowed to 0
+    want = -(inv * inv.a)
+    assert power_derivative_oracle(q, ZERO, -1) == want
+    assert power_derivative(q, ZERO, -1) == want
+    assert want.b > 0.0
 
 
 def test_signed_zeros_survive_conjugate_involution_and_negation():

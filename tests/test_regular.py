@@ -12,6 +12,7 @@ from quatgrad import (DomainError, Elementary, FDConfig, ONE, OutsideAnnulus,
                       ln_real_gradient, power_derivative,
                       power_derivative_oracle, real_axis_limit_check,
                       symmetric_ratio, tanh_derivative, tanh_q, tanh_series)
+from quatgrad.regular import _tangent_numbers
 
 
 # -- symmetric ratio -----------------------------------------------------------
@@ -272,6 +273,16 @@ def test_tanh_series_coefficients_vs_mpmath():
     for n, a in f.coeffs.items():
         assert a.a == pytest.approx(float(taylor[n]), rel=1e-13)
     assert set(f.coeffs) == {n for n in range(22) if n % 2 == 1}
+
+
+def test_tangent_numbers_match_bernoulli():
+    # T_m = 2^{2m} (2^{2m} - 1) |B_{2m}| / (2m); T_40 has 102 digits
+    with mpmath.workdps(400):
+        want = [int(mpmath.nint(4 ** m * (4 ** m - 1)
+                                * abs(mpmath.bernoulli(2 * m)) / (2 * m)))
+                for m in range(1, 41)]
+    assert want[:4] == [1, 2, 16, 272]
+    assert _tangent_numbers(40) == want
 
 
 def test_elementary_derivatives_vs_finite_differences(rng):
