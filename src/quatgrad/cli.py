@@ -29,6 +29,9 @@ EXIT_DIVERGED = 4
 # it is imported only when the validate command runs
 SUITE_NAMES = ("algebra", "rules", "series", "consistency", "fd")
 
+# eval-grad's functions, each an Elementary; power is power:<n>[:<center>]
+_FUNCTIONS = ("exp", "ln", "tanh", "power")
+
 
 def __getattr__(name):
     """quatgrad.cli.validate, imported on first access (PEP 562)."""
@@ -73,7 +76,7 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser(
         "eval-grad", help="evaluate the HR gradient of a named function")
     p_eval.add_argument("function",
-                        help="exp | ln | tanh | power:<n>[:<center>]")
+                        help=" | ".join(_FUNCTIONS) + ":<n>[:<center>]")
     p_eval.add_argument("point", help="quaternion a+bi+cj+dk")
     p_eval.add_argument("--side", choices=("left", "right"), default="left")
     # let points with a negative real part ("-1+0i+0j+0k") parse as
@@ -93,10 +96,13 @@ def _build_parser() -> _Parser:
 
 
 def _parse_function(text: str) -> Elementary:
-    """exp | ln | tanh | power:<n>[:<center>]; Elementary rejects other names."""
+    """exp | ln | tanh | power:<n>[:<center>]; other names are rejected."""
     kind, _, rest = text.partition(":")
     if kind != "power":
-        return Elementary.named(text)
+        if text not in _FUNCTIONS:
+            raise ValueError(f"unknown elementary function {text!r} "
+                             f"(expected {', '.join(_FUNCTIONS)})")
+        return getattr(Elementary, text)()
     fields = rest.split(":")
     if not fields[0] or len(fields) > 2:
         raise ValueError(f"bad power argument {text!r}, "

@@ -384,8 +384,9 @@ def jet_exp(x: QJet) -> QJet:
     squared back up.  Accuracy is machine-level for moderate arguments.
     The loops run on floats, the real factors as constant-jet products, and
     one QJet is built at the end: an overflow on the way shows there, and
-    the squarings stop at the first non-finite value component.  A value
-    whose norm overflows raises NonFiniteComponent before the loops.
+    the squarings stop at the first non-finite value component or at the
+    fixed point of a zero value, signs of zero included.  A value whose
+    norm overflows raises NonFiniteComponent before the loops.
     """
     x = _jet_floats(x)
     halvings = 0
@@ -403,7 +404,10 @@ def jet_exp(x: QJet) -> QJet:
         if math.hypot(*term[0]) <= 1e-16 * max(1.0, math.hypot(*acc[0])):
             break
     for _ in range(halvings):
-        acc = _jet_mul(acc, acc)
+        square = _jet_mul(acc, acc)
+        if not any(acc[0]) and repr(square) == repr(acc):
+            break  # a fixed point: every later square is the same floats
+        acc = square
         if not all(map(math.isfinite, acc[0])):
             break  # inf and nan stay non-finite, and _jet raises on them
     return _jet(acc)

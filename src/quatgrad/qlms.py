@@ -186,7 +186,9 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     per tap; the desired signal is d[n] = w_true^T x[n] + noise with
     per-axis noise variance noise_power/4.  Weights start at zero.  A
     StabilityWarning is emitted when mu exceeds the heuristic guard
-    1/(2 M E|x|^2) with E|x|^2 estimated from the generated signal.  The
+    1/(2 M E|x|^2), with E|x|^2 one dot product of the generated inputs
+    over N M: no input-sized temporary.  Its last bits may differ from a
+    per-tap mean's (1e-15 relative); only the warning reads it.  The
     run stops early (diverged=True) once the weight norm passes
     DIVERGENCE_LIMIT or is not finite; when the last update overflowed
     to inf or nan, final_weights holds the last finite weights.
@@ -205,7 +207,7 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     xs = rng.standard_normal((n_iter, m, 4))
     noise = rng.standard_normal((n_iter, 4)) * np.sqrt(cfg.noise_power / 4.0)
 
-    mean_power = float(np.mean(np.sum(xs * xs, axis=2)))
+    mean_power = float(np.vdot(xs, xs)) / (n_iter * m)
     guard = 1.0 / (2.0 * m * mean_power)
     if cfg.step_size > guard:
         warnings.warn(

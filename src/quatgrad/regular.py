@@ -305,14 +305,6 @@ class Elementary:
     def tanh() -> "Elementary":
         return _TANH
 
-    @staticmethod
-    def named(name: str) -> "Elementary":
-        """exp, ln or tanh by name."""
-        if name not in _NAMED:
-            raise ValueError(f"unknown elementary function {name!r} "
-                             "(expected exp, ln, tanh, power)")
-        return _NAMED[name]
-
     @classmethod
     def power(cls, n: int, center: Quaternion = ZERO) -> "Elementary":
         """(q - center)^n; for n < 0 its center is a pole."""
@@ -413,7 +405,6 @@ class Elementary:
 _EXP = Elementary("exp", cmath.exp, cmath.exp, lambda q: None)
 _LN = Elementary("ln", cmath.log, lambda z: 1 / z, _check_ln)
 _TANH = Elementary("tanh", cmath.tanh, _sech_sq, _check_tanh)
-_NAMED = {fn.kind: fn for fn in (_EXP, _LN, _TANH)}
 
 #: exp(q) = e^{q_a} (cos v + vhat sin v); reduces to the real exp at v=0.
 exp_q = _EXP.value

@@ -191,6 +191,13 @@ def test_eval_grad_parse_errors(capsys):
         assert (code, out) == (EXIT_PARSE, "") and "parse error" in err
 
 
+@pytest.mark.parametrize("function", ["sinh", "Exp", "exp:2"])
+def test_eval_grad_unknown_function_line(capsys, function):
+    assert run_cli(capsys, "eval-grad", function, "1+0i+0j+0k") == (
+        EXIT_PARSE, "", f"parse error: unknown elementary function "
+        f"{function!r} (expected exp, ln, tanh, power)\n")
+
+
 def test_unknown_flag_is_parse_error(capsys):
     assert run_cli(capsys, "eval-grad", "exp", "0+0i+0j+0k",
                    "--frobnicate")[0] == EXIT_PARSE

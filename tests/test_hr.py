@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import qdist, rand_quat
 import quatgrad
 from quatgrad import (AxisUnit, HRGradient, IDENTITY_GRADIENT, JACOBIAN,
-                      NotRealValued, ONE, QI, QJ, QK, Quaternion,
+                      NotRealValued, ONE, QI, QJ, QK, QJet, Quaternion,
                       RealGradient, Side, SideMismatch, ZERO,
                       chain_matrix_components, chain_matrix_involutions,
                       chain_rule_first, chain_rule_second, chain_rule_third,
@@ -328,6 +328,24 @@ def test_jet_exp_stops_squaring_at_the_overflow(monkeypatch):
     with pytest.raises(quatgrad.NonFiniteComponent):
         jet_exp(jet_seed(Quaternion(1e300)))
     assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("q, dB", [
+    (Quaternion(-1e300), ZERO),
+    # the fixed point keeps a -0.0: a partial (-0.0, 0, 0, 0) under a zero
+    # value squares to itself
+    (Quaternion(-5e4, 1e-3), Quaternion(-0.0)),
+])
+def test_jet_exp_stops_squaring_at_the_underflow(monkeypatch, q, dB):
+    # -1e300 halves about 1,000 times; the value is 0 after about a dozen
+    # squarings, and squaring on to the end made 1,027 jet products
+    calls = []
+    mul = quatgrad.hr._jet_mul
+    monkeypatch.setattr(quatgrad.hr, "_jet_mul",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    got = jet_exp(jet_seed(q))
+    assert len(calls) <= 60
+    assert repr(got) == repr(QJet(ZERO, RealGradient(ZERO, dB, ZERO, ZERO)))
 
 
 # -- product rules ------------------------------------------------------------

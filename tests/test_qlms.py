@@ -408,6 +408,28 @@ def test_no_warning_below_guard():
         run_system_identification(_config(step_size=0.01, iterations=20))
 
 
+def test_guard_within_1e_15_of_the_per_tap_mean():
+    # the guard's E|x|^2 is one dot product; the mean of per-tap |x|^2 sums
+    # in another order.  The warning fires just above the per-tap guard and
+    # not just below it, so the two agree to 1e-15 relative.
+    draws = np.random.default_rng(11)
+    for _ in range(100):
+        m, n = int(draws.integers(1, 17)), int(draws.integers(1, 201))
+        seed = int(draws.integers(2 ** 32))
+        xs = np.random.default_rng(seed).standard_normal((n, m, 4))
+        per_tap = 1.0 / (2.0 * m * float(np.mean(np.sum(xs * xs, axis=2))))
+        for mu, fires in ((per_tap * (1 + 1e-15), True),
+                          (per_tap * (1 - 1e-15), False)):
+            cfg = ExperimentConfig(filter_length=m, true_weights=None,
+                                   noise_power=0.0, step_size=mu,
+                                   iterations=n, rng_seed=seed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_system_identification(cfg)
+            assert any(w.category is StabilityWarning
+                       for w in caught) == fires, (m, n, seed, mu)
+
+
 def test_noise_floor_visible():
     noisy = run_system_identification(
         _config(step_size=0.01, noise_power=0.1, iterations=3000))

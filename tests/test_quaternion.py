@@ -335,8 +335,8 @@ def test_numpy_scalar_operand_gives_python_float_components():
 
 @pytest.mark.parametrize("compute", [
     lambda q: q + "x", lambda q: "x" * q, lambda q: [1] * q, lambda q: q / q,
-    lambda q: q ** 0.5,
-], ids=['q + "x"', '"x" * q', "[1] * q", "q / q", "q ** 0.5"])
+    lambda q: q ** 0.5, lambda q: "x" - q,
+], ids=['q + "x"', '"x" * q', "[1] * q", "q / q", "q ** 0.5", '"x" - q'])
 def test_unsupported_operands_raise_type_error(compute):
     # each operator returns NotImplemented for them, __rmul__ (= __mul__) too
     with pytest.raises(TypeError):

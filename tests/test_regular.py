@@ -444,6 +444,12 @@ def test_real_axis_limit_check_validates_axis():
         real_axis_limit_check(Elementary.exp(), 1.0, [0.1], QI * 0.5)
 
 
+@pytest.mark.parametrize("v", [0.0, -0.0, -1e-3])
+def test_real_axis_limit_check_rejects_a_non_positive_v(v):
+    with pytest.raises(ValueError, match="v sequence must be positive"):
+        real_axis_limit_check(Elementary.exp(), 1.0, [0.1, v], QI)
+
+
 def test_elementary_power_value_and_real_derivative():
     fn = Elementary.power(3, ONE)
     assert fn.value(Quaternion(2)) == ONE
