@@ -17,7 +17,6 @@ instead of Quaternion objects, in the same operation order; a test checks
 that its records are bit-identical to a loop over the spec API.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -273,17 +272,18 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
 
 def write_record_csv(record: ConvergenceRecord, path) -> None:
     """CSV columns: iteration, squared_error, weight_error_norm (the
-    recorded squared norms), full round-trip precision."""
+    recorded squared norms), full round-trip precision.  Each row is one
+    preformatted line, the bytes csv.writer gives: no float repr needs
+    quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "squared_error", "weight_error_norm"])
-        for n, (se, we) in enumerate(zip(record.squared_error,
-                                         record.weight_error_sq)):
-            writer.writerow([n, repr(se), repr(we)])
+        fh.write("iteration,squared_error,weight_error_norm\r\n")
+        fh.writelines(f"{n},{se!r},{we!r}\r\n" for n, (se, we) in enumerate(
+            zip(record.squared_error, record.weight_error_sq)))
 
 
 def read_record_csv(path) -> tuple[list[float], list[float]]:
     """Parse a CSV written by write_record_csv back into the two series."""
+    import csv
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

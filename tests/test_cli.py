@@ -611,6 +611,28 @@ def test_subprocess_eval_grad_loads_no_numpy():
     assert (lines[0], lines[-1]) == ("False", "False")
 
 
+@pytest.mark.parametrize("flags, unused", [
+    ((), ("quatgrad.fd", "quatgrad.qlms", "csv", "numpy")),
+    # without site, whose start-up may import pathlib itself
+    (("-S",), ("quatgrad.fd", "quatgrad.qlms", "csv", "pathlib")),
+])
+def test_subprocess_eval_grad_loads_neither_fd_nor_qlms(flags, unused):
+    # the package imports fd and qlms (and qlms's csv) on first use, and
+    # eval-grad, answered or rejected, uses neither; only qlms-run reads a
+    # file
+    child = (
+        "import sys\n"
+        "import quatgrad.cli\n"
+        "quatgrad.cli.main(['eval-grad', 'power:3:1+0i+0j+0k', '2+1i+0j+0k'])\n"
+        "quatgrad.cli.main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
+        f"print(sorted(set({unused!r}) & set(sys.modules)))\n")
+    run = subprocess.run([sys.executable, *flags, "-c", child],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.startswith("domain error:")
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_subprocess_cli_import_loads_no_fractions():
     # tanh_series rounds int / int directly; fractions (with decimal and
     # numbers) is not imported

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 
@@ -453,6 +455,29 @@ def test_csv_roundtrip(tmp_path):
     se, we = read_record_csv(path)
     assert se == record.squared_error
     assert we == record.weight_error_sq
+
+
+@pytest.mark.parametrize("squared_error, weight_error_sq", [
+    ([-0.0, 1e-310, 1e308, 5e-324, 0.1, 1.0, math.inf],
+     [0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 5e-324,
+      123.456789012345678, 1e-5, math.nan]),
+    ([], []),  # header only
+])
+def test_csv_bytes_match_csv_writer(tmp_path, squared_error,
+                                    weight_error_sq):
+    # write_record_csv formats each line itself; the bytes are the ones
+    # csv.writer gives for the same rows
+    record = ConvergenceRecord(squared_error=squared_error,
+                               weight_error_sq=weight_error_sq)
+    path = tmp_path / "record.csv"
+    write_record_csv(record, path)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["iteration", "squared_error", "weight_error_norm"])
+    for n, (se, we) in enumerate(zip(squared_error, weight_error_sq)):
+        writer.writerow([n, repr(se), repr(we)])
+    assert path.read_bytes() == reference.getvalue().encode()
+    assert path.read_bytes().count(b"\r\n") == len(squared_error) + 1
 
 
 def test_csv_rejects_foreign_header(tmp_path):
