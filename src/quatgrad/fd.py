@@ -6,8 +6,8 @@ jet machinery.
 """
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .hr import HRGradient, RealGradient, Side, hr_from_real
 from .quaternion import ONE, QI, QJ, QK, Quaternion

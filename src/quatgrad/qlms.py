@@ -18,10 +18,10 @@ that its records are bit-identical to a loop over the spec API.
 """
 
 import math
+import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
 
 from .errors import LengthMismatch
 from .hr import Side, side_dot
@@ -64,15 +64,11 @@ class SamplePair:
     desired: Quaternion
 
 
-def _check_length(state: FilterState, x: Sequence[Quaternion]) -> None:
+def predict(state: FilterState, x: Sequence[Quaternion]) -> Quaternion:
+    """y = sum_m w_m x_m, products in the order w*x."""
     if len(x) != len(state.weights):
         raise LengthMismatch(
             f"input length {len(x)} != filter length {len(state.weights)}")
-
-
-def predict(state: FilterState, x: Sequence[Quaternion]) -> Quaternion:
-    """y = sum_m w_m x_m, products in the order w*x."""
-    _check_length(state, x)
     return side_dot(Side.LEFT, state.weights, x)
 
 
@@ -282,15 +278,20 @@ def write_record_csv(record: ConvergenceRecord, path) -> None:
 
 
 def read_record_csv(path) -> tuple[list[float], list[float]]:
-    """Parse a CSV written by write_record_csv back into the two series."""
+    """Parse a CSV written by write_record_csv back into the two series; a
+    missing or foreign header or a row not of 3 fields is a ValueError."""
     import csv
+    name = os.path.basename(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["iteration", "squared_error", "weight_error_norm"]:
-            raise ValueError(f"unexpected CSV header in {Path(path).name}: {header}")
+            raise ValueError(f"unexpected CSV header in {name}: {header}")
         squared_error, weight_error = [], []
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"{name} line {reader.line_num}: expected 3 "
+                                 f"fields, got {len(row)}: {row}")
             squared_error.append(float(row[1]))
             weight_error.append(float(row[2]))
     return squared_error, weight_error

@@ -124,8 +124,7 @@ class Quaternion:
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            other = float(other)
-            return _raw(other - self.a, -self.b, -self.c, -self.d)
+            return -self + other  # x - y = x + (-y), bit for bit
         return NotImplemented
 
     def __neg__(self):

@@ -38,13 +38,12 @@ Chebyshev form power_derivative are the oracles.
 
 import cmath
 import math
-import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_dot
-from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _raw,
+from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _NORMAL_MIN, _raw,
                          power_by_squaring)
 
 
@@ -126,7 +125,6 @@ class PowerSeriesFn:
     coeffs: dict[int, Quaternion]
     side: Side = Side.LEFT
     annulus: tuple[float, float] = (0.0, math.inf)
-    _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -134,12 +132,11 @@ class PowerSeriesFn:
         lo, hi = self.annulus
         if not (0.0 <= lo <= hi):
             raise ValueError(f"invalid annulus {self.annulus}")
-        object.__setattr__(self, "_orders", tuple(sorted(self.coeffs)))
 
     def _check_annulus(self, q: Quaternion) -> Quaternion:
         qt = q - self.center
         r = abs(qt)
-        lo = 0.0 if self._orders[0] >= 0 else self.annulus[0]
+        lo = 0.0 if min(self.coeffs) >= 0 else self.annulus[0]
         if not (lo <= r <= self.annulus[1]):
             raise OutsideAnnulus(
                 f"|q - center| = {r:.6g} outside [{lo:.6g}, {self.annulus[1]:.6g}]")
@@ -147,13 +144,14 @@ class PowerSeriesFn:
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         qt = self._check_annulus(q)
-        return side_dot(self.side, [self.coeffs[n] for n in self._orders],
-                        [qt ** n for n in self._orders])
+        orders = sorted(self.coeffs)
+        return side_dot(self.side, [self.coeffs[n] for n in orders],
+                        [qt ** n for n in orders])
 
     def usual_derivative(self, q: Quaternion) -> Quaternion:
         """The termwise formal derivative Sum n a_n qt^{n-1} (or mirrored)."""
         qt = self._check_annulus(q)
-        orders = [n for n in self._orders if n != 0]
+        orders = [n for n in sorted(self.coeffs) if n != 0]
         return side_dot(self.side, [self.coeffs[n] for n in orders],
                         [qt ** (n - 1) * n for n in orders])
 
@@ -166,7 +164,7 @@ class PowerSeriesFn:
         ratio is a real scalar, so a_n s = s a_n on either side.
         """
         qt = self._check_annulus(q)
-        orders = [n for n in self._orders if n != 0]
+        orders = [n for n in sorted(self.coeffs) if n != 0]
         ratio = side_dot(Side.LEFT, [self.coeffs[n] for n in orders],
                          [symmetric_ratio(qt, n) for n in orders])
         return (self.usual_derivative(q) + ratio) * 0.5
@@ -269,7 +267,7 @@ def _ratio(f: complex, df: complex, v: float) -> float:
     to underflow (exp at -700 + 1e-300 i); the limit Re F'(z) is taken
     there.  Next to ln's branch cut Im F(z) ~ pi keeps the quotient.
     """
-    if v == 0.0 or (abs(f.imag) < sys.float_info.min
+    if v == 0.0 or (abs(f.imag) < _NORMAL_MIN
                     and abs(f.imag - v * df.real) <= _SUBNORMAL_SLACK):
         return df.real
     return f.imag / v

@@ -613,8 +613,8 @@ def test_subprocess_eval_grad_loads_no_numpy():
 
 @pytest.mark.parametrize("flags, unused", [
     ((), ("quatgrad.fd", "quatgrad.qlms", "csv", "numpy")),
-    # without site, whose start-up may import pathlib itself
-    (("-S",), ("quatgrad.fd", "quatgrad.qlms", "csv", "pathlib")),
+    # without site, whose start-up may import pathlib and typing itself
+    (("-S",), ("quatgrad.fd", "quatgrad.qlms", "csv", "pathlib", "typing")),
 ])
 def test_subprocess_eval_grad_loads_neither_fd_nor_qlms(flags, unused):
     # the package imports fd and qlms (and qlms's csv) on first use, and

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +21,23 @@ def test_all_exports_no_module():
 def test_all_names_are_unique_and_public():
     assert len(set(quatgrad.__all__)) == len(quatgrad.__all__)
     assert not any(name.startswith("_") for name in quatgrad.__all__)
+
+
+def test_no_module_imports_typing_or_pathlib():
+    # annotations come from collections.abc, paths go through os.path:
+    # neither module is imported by a process that uses the package
+    found = []
+    for path in sorted(Path(quatgrad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("typing", "pathlib")]
+    assert found == []
 
 
 # -- the public surface in a fresh process ------------------------------------

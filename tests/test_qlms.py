@@ -485,3 +485,22 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_record_csv(path)
+
+
+_HEADER = "iteration,squared_error,weight_error_norm\r\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected CSV header in bad.csv: None"),
+    (_HEADER + "0,1.0,2.0\r\n\r\n1,1.0,2.0\r\n",
+     "bad.csv line 3: expected 3 fields, got 0"),
+    (_HEADER + "0,1.0\r\n", "bad.csv line 2: expected 3 fields, got 2"),
+    (_HEADER + "0,1.0,2.0,3.0\r\n",
+     "bad.csv line 2: expected 3 fields, got 4"),
+], ids=["empty", "blank line", "two fields", "four fields"])
+def test_csv_rejects_malformed_files(tmp_path, text, message):
+    # a ValueError naming the file and line, not StopIteration or IndexError
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=f"^{message}"):
+        read_record_csv(path)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import qdist, rand_quat, tanh_safe
@@ -452,3 +452,27 @@ def test_signed_zeros_survive_conjugate_involution_and_negation():
         assert signs(q.involution(AxisUnit.I)) == (sa, sb, -sc, -sd)
         assert signs(q.involution(AxisUnit.J)) == (sa, -sb, sc, -sd)
         assert signs(q.involution(AxisUnit.K)) == (sa, -sb, -sc, sd)
+
+
+def _outcome(compute):
+    """repr of the result, or the type of the error it raised."""
+    try:
+        return repr(compute())
+    except (NonFiniteComponent, OverflowError) as exc:
+        return type(exc)
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([0.0, -0.0, 1e308, -1e308]),
+                 st.integers(), st.booleans()),
+       st.builds(Quaternion, *[st.floats(allow_nan=False,
+                                         allow_infinity=False)] * 4))
+@example(-0.0, Quaternion(-0.0, 0.0, -0.0, 0.0))
+@example(0.0, Quaternion(0.0, -0.0, 0.0, -0.0))
+@example(-1e308, Quaternion(1e308, 5e-324))
+@example(10 ** 400, ONE)
+def test_scalar_minus_quaternion_is_the_componentwise_difference(s, q):
+    # s - q is -q + s; each component, its sign of zero and an overflow
+    # are those of s - q_a, -q_b, -q_c, -q_d
+    assert _outcome(lambda: s - q) == _outcome(
+        lambda: Quaternion(float(s) - q.a, -q.b, -q.c, -q.d))
