@@ -12,9 +12,10 @@ i.e. the exposed mu equals twice the step applied to the raw gradient.
 The product order e * x* matters; x* * e is wrong for quaternions.
 
 predict, error_signal, cost_gradient and update_step are the spec API.
-The system-identification harness runs the same steps on float 4-tuples
-instead of Quaternion objects, in the same operation order; a test checks
-that its records are bit-identical to a loop over the spec API.
+The system-identification harness forms d + noise a block of samples at
+a time in numpy and runs the weight-dependent steps per sample on float
+4-tuples, each in the spec API's operation order; a test checks that its
+records are bit-identical to a loop over the spec API.
 """
 
 import math
@@ -32,6 +33,8 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Largest M * iterations: a run draws all its inputs up front, 1 GiB here.
 MAX_TAP_ITERATIONS = 2 ** 25
+
+_BLOCK_ROWS = 1024  # samples per numpy pass forming d + noise
 
 
 class StabilityWarning(UserWarning):
@@ -174,6 +177,27 @@ class ConvergenceRecord:
     diverged: bool = False
 
 
+def _samples(xs, noise, true):
+    """Yield each row of xs as lists and its d + noise as 4 floats: d =
+    0 + sum wt x in one numpy pass per tap column of a block, the noise
+    added last, so each element sees the spec API's float operations in
+    their order.  Rows become lists one at a time, to hold few objects."""
+    import numpy as np
+    for start in range(0, len(xs), _BLOCK_ROWS):
+        block = xs[start:start + _BLOCK_ROWS]
+        da = db = dc = dd = 0.0
+        for tap, (ta, tb, tc, td) in enumerate(true):
+            xa, xb, xc, xd = block[:, tap].T
+            da = da + (ta * xa - tb * xb - tc * xc - td * xd)
+            db = db + (ta * xb + tb * xa + tc * xd - td * xc)
+            dc = dc + (ta * xc - tb * xd + tc * xa + td * xb)
+            dd = dd + (ta * xd + tb * xc - tc * xb + td * xa)
+        desired = np.stack((da, db, dc, dd), axis=1) \
+            + noise[start:start + _BLOCK_ROWS]
+        for x, s in zip(block, desired):
+            yield x.tolist(), s.tolist()
+
+
 def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     """Run the QLMS filter against a synthetic linear system.
 
@@ -188,9 +212,11 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     DIVERGENCE_LIMIT or is not finite; when the last update overflowed
     to inf or nan, final_weights holds the last finite weights.
 
-    The loop is error_signal and update_step on float 4-tuples: the same
-    products, sums and conjugations in the same order, so the record is
-    bit-identical to a loop over the spec API (checked by test).
+    d + noise is formed per block of samples in numpy tap-column passes,
+    and the per-sample loop runs y = w^T x, e, the update and |w - w_true|^2
+    on float 4-tuples: the same operations per element, in the same order,
+    so the record is bit-identical to a loop over the spec API (checked by
+    test).
     """
     # numpy only here, where the signals are drawn: importing quatgrad
     # (and the eval-grad command) does not load it
@@ -214,46 +240,42 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     limit_sq = DIVERGENCE_LIMIT ** 2
     true = [(t.a, t.b, t.c, t.d) for t in cfg.true_weights]
     weights = [(0.0, 0.0, 0.0, 0.0)] * m
+    # |w - wt|^2 per tap before each update; of the zero weights, (0 - t)^2
+    # is t * t exactly
+    werr = [ta * ta + tb * tb + tc * tc + td * td for ta, tb, tc, td in true]
     record = ConvergenceRecord()
-    for n in range(n_iter):
-        # one row at a time: converting all of xs at once costs memory
-        x = xs[n].tolist()
-        # d = 0 + sum wt x + noise and y = 0 + sum w x, products in the
-        # order w*x; |w - wt|^2 per tap before the update
-        da = db = dc = dd = ya = yb = yc = yd = 0.0
-        werr = []
-        for (ta, tb, tc, td), (wa, wb, wc, wd), (xa, xb, xc, xd) \
-                in zip(true, weights, x):
-            da = da + (ta * xa - tb * xb - tc * xc - td * xd)
-            db = db + (ta * xb + tb * xa + tc * xd - td * xc)
-            dc = dc + (ta * xc - tb * xd + tc * xa + td * xb)
-            dd = dd + (ta * xd + tb * xc - tc * xb + td * xa)
+    for x, (sa, sb, sc, sd) in _samples(xs, noise, true):
+        # y = 0 + sum w x, products in the order w*x
+        ya = yb = yc = yd = 0.0
+        for (wa, wb, wc, wd), (xa, xb, xc, xd) in zip(weights, x):
             ya = ya + (wa * xa - wb * xb - wc * xc - wd * xd)
             yb = yb + (wa * xb + wb * xa + wc * xd - wd * xc)
             yc = yc + (wa * xc - wb * xd + wc * xa + wd * xb)
             yd = yd + (wa * xd + wb * xc - wc * xb + wd * xa)
-            ga, gb, gc, gd = wa - ta, wb - tb, wc - tc, wd - td
-            werr.append(ga * ga + gb * gb + gc * gc + gd * gd)
-        na, nb, nc, nd = noise[n].tolist()
-        ea = (da + na) - ya
-        eb = (db + nb) - yb
-        ec = (dc + nc) - yc
-        ed = (dd + nd) - yd
+        ea = sa - ya
+        eb = sb - yb
+        ec = sc - yc
+        ed = sd - yd
         record.squared_error.append(ea * ea + eb * eb + ec * ec + ed * ed)
         # sum() as in the spec loop: since Python 3.12 it is compensated
         record.weight_error_sq.append(sum(werr))
 
         # w + (e x*) mu, the Hamilton product with x* = (xa, -xb, -xc, -xd)
-        # written with its signs folded in (exact in IEEE arithmetic)
+        # written with its signs folded in (exact in IEEE arithmetic); then
+        # |w - wt|^2 of the new weights for the next sample
         new = []
         norms = []
-        for (wa, wb, wc, wd), (xa, xb, xc, xd) in zip(weights, x):
+        werr = []
+        for (wa, wb, wc, wd), (xa, xb, xc, xd), (ta, tb, tc, td) \
+                in zip(weights, x, true):
             wa = wa + (ea * xa + eb * xb + ec * xc + ed * xd) * mu
             wb = wb + (eb * xa - ea * xb - ec * xd + ed * xc) * mu
             wc = wc + (eb * xd - ea * xc + ec * xa - ed * xb) * mu
             wd = wd + (-ea * xd - eb * xc + ec * xb + ed * xa) * mu
             new.append((wa, wb, wc, wd))
             norms.append(wa * wa + wb * wb + wc * wc + wd * wd)
+            ga, gb, gc, gd = wa - ta, wb - tb, wc - tc, wd - td
+            werr.append(ga * ga + gb * gb + gc * gc + gd * gd)
         # "not <=" counts nan and inf weights as diverged too
         if not sum(norms) <= limit_sq:
             record.diverged = True
@@ -279,7 +301,9 @@ def write_record_csv(record: ConvergenceRecord, path) -> None:
 
 def read_record_csv(path) -> tuple[list[float], list[float]]:
     """Parse a CSV written by write_record_csv back into the two series; a
-    missing or foreign header or a row not of 3 fields is a ValueError."""
+    missing or foreign header, a row not of 3 fields, an iteration other
+    than the row's number (0, 1, 2, ...) or a value that is not a number
+    is a ValueError naming the file and line."""
     import csv
     name = os.path.basename(path)
     with open(path, newline="") as fh:
@@ -288,10 +312,16 @@ def read_record_csv(path) -> tuple[list[float], list[float]]:
         if header != ["iteration", "squared_error", "weight_error_norm"]:
             raise ValueError(f"unexpected CSV header in {name}: {header}")
         squared_error, weight_error = [], []
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{name} line {reader.line_num}: expected 3 "
-                                 f"fields, got {len(row)}: {row}")
-            squared_error.append(float(row[1]))
-            weight_error.append(float(row[2]))
+        for n, row in enumerate(reader):
+            if len(row) != 3 or row[0] != str(n):
+                raise ValueError(f"{name} line {reader.line_num}: " + (
+                    f"expected 3 fields, got {len(row)}: {row}"
+                    if len(row) != 3 else
+                    f"iteration {row[0]!r}, expected {n}"))
+            try:
+                squared_error.append(float(row[1]))
+                weight_error.append(float(row[2]))
+            except ValueError:
+                raise ValueError(f"{name} line {reader.line_num}: not a "
+                                 f"number in {row}") from None
     return squared_error, weight_error

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       predict, read_record_csv, real_valued_reduce,
                       run_system_identification, update_step,
                       write_record_csv)
-from quatgrad.qlms import MAX_TAP_ITERATIONS
+from quatgrad.qlms import _BLOCK_ROWS, MAX_TAP_ITERATIONS
 
 
 def _state(weights, mu=0.1):
@@ -385,6 +386,55 @@ def test_harness_bit_identical_to_spec_api(m, iterations, mu, diverges):
     assert fast.final_weights == spec.final_weights
 
 
+def _block_pass_and_spec_run(cfg):
+    """Both runs with every warning but StabilityWarning an error, so that
+    a numpy RuntimeWarning from the d + noise column pass fails the test;
+    the records must be equal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", StabilityWarning)
+        fast, spec = run_system_identification(cfg), _spec_run(cfg)
+    assert fast.diverged == spec.diverged
+    assert fast.squared_error == spec.squared_error
+    assert fast.weight_error_sq == spec.weight_error_sq
+    assert fast.final_weights == spec.final_weights
+    return fast
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("iterations", [1023, 1024, 1025, 2049])
+def test_block_pass_bit_identical_across_block_edges(m, iterations):
+    # one sample short of, exactly at, and one past the block edges
+    assert _BLOCK_ROWS == 1024
+    record = _block_pass_and_spec_run(ExperimentConfig(
+        filter_length=m, true_weights=None, noise_power=0.01,
+        step_size=0.5 / (8.0 * m), iterations=iterations, rng_seed=m))
+    assert not record.diverged
+    assert len(record.squared_error) == iterations
+
+
+@pytest.mark.parametrize("m, mu, seed", [(1, 0.62, 3), (3, 0.49 / 3, 5)])
+def test_block_pass_divergence_inside_the_second_block(m, mu, seed):
+    record = _block_pass_and_spec_run(ExperimentConfig(
+        filter_length=m, true_weights=None, noise_power=0.01,
+        step_size=mu, iterations=3000, rng_seed=seed))
+    assert record.diverged
+    assert _BLOCK_ROWS < len(record.squared_error) <= 2 * _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e11])
+def test_block_pass_noiseless_at_extreme_weight_scales(scale):
+    # signals near 1e-300, whose squares underflow to zero, and near 1e12
+    rng = np.random.default_rng(17)
+    weights = tuple(Quaternion(*(scale * rng.standard_normal(4)).tolist())
+                    for _ in range(3))
+    record = _block_pass_and_spec_run(ExperimentConfig(
+        filter_length=3, true_weights=weights, noise_power=0.0,
+        step_size=0.5 / 24.0, iterations=1100, rng_seed=4))
+    assert not record.diverged
+    assert len(record.squared_error) == 1100
+
+
 def test_overflowing_update_is_divergence():
     # mu * e x* is inf in the first update; the spec API raises there
     with warnings.catch_warnings():
@@ -503,4 +553,24 @@ def test_csv_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=f"^{message}"):
+        read_record_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEADER + "foo,1.0,2.0\r\n7,3.0,4.0\r\n",
+     "bad.csv line 2: iteration 'foo', expected 0"),
+    (_HEADER + "0,1.0,2.0\r\n7,3.0,4.0\r\n",
+     "bad.csv line 3: iteration '7', expected 1"),
+    (_HEADER + "1,1.0,2.0\r\n", "bad.csv line 2: iteration '1', expected 0"),
+    (_HEADER + "0,1.0,2.0\r\n1,abc,4.0\r\n",
+     "bad.csv line 3: not a number in ['1', 'abc', '4.0']"),
+    (_HEADER + "0,1.0,\r\n", "bad.csv line 2: not a number in ['0', '1.0', '']"),
+], ids=["text iteration", "skips a number", "starts at 1", "bad value",
+        "empty value"])
+def test_csv_rejects_misnumbered_rows_and_bad_values(tmp_path, text,
+                                                      message):
+    # rows are numbered 0, 1, 2, ... and a bad value names the file and line
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_record_csv(path)
