@@ -29,10 +29,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 
 from .errors import NonFiniteComponent, NotRealValued, SideMismatch
 from .quaternion import (IMAGINARY_AXES, ONE, QI, QJ, QK, RESIDUE_TOL, ZERO,
-                         AxisUnit, Quaternion, _UNITS4, _hamilton, _raw)
+                         AxisUnit, Quaternion, _UNITS4, _hamilton, _new, _raw,
+                         _slot_setters)
 
 
 class Side(Enum):
@@ -40,21 +42,40 @@ class Side(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True, slots=True)
+_LEFT = Side.LEFT  # bound once: each Side.LEFT is a class attribute lookup
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RealGradient:
-    """The four quaternion partials (df/dq_a, df/dq_b, df/dq_c, df/dq_d)."""
+    """The four quaternion partials (df/dq_a, df/dq_b, df/dq_c, df/dq_d).
+
+    Built like Quaternion: __new__ sets the slots, and copy, pickle and
+    dataclasses.replace rebuild through it."""
 
     dA: Quaternion
     dB: Quaternion
     dC: Quaternion
     dD: Quaternion
 
+    def __new__(cls, dA, dB, dC, dD):
+        g = _new(cls)
+        _set_dA(g, dA)
+        _set_dB(g, dB)
+        _set_dC(g, dC)
+        _set_dD(g, dD)
+        return g
+
     def as_tuple(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.dA, self.dB, self.dC, self.dD)
+
+    __getnewargs__ = as_tuple
 
     def involution(self, axis: AxisUnit) -> "RealGradient":
         """Apply the axis involution to every partial."""
         return RealGradient(*(p.involution(axis) for p in self.as_tuple()))
+
+
+_set_dA, _set_dB, _set_dC, _set_dD = _slot_setters(RealGradient)
 
 
 #: Real gradient of the identity function f(q) = q.
@@ -63,12 +84,12 @@ IDENTITY_GRADIENT = RealGradient(ONE, QI, QJ, QK)
 ZERO_GRADIENT = RealGradient(ZERO, ZERO, ZERO, ZERO)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HRGradient:
     """Partials with respect to (q, q^i, q^j, q^k), tagged left or right.
 
     Mixing sides is a hard error everywhere in this module: left and right
-    gradients differ already for linear functions.
+    gradients differ already for linear functions.  Built like RealGradient.
     """
 
     d1: Quaternion
@@ -77,8 +98,23 @@ class HRGradient:
     dK: Quaternion
     side: Side
 
+    def __new__(cls, d1, dI, dJ, dK, side):
+        h = _new(cls)
+        _set_d1(h, d1)
+        _set_dI(h, dI)
+        _set_dJ(h, dJ)
+        _set_dK(h, dK)
+        _set_side(h, side)
+        return h
+
+    def __getnewargs__(self):
+        return (self.d1, self.dI, self.dJ, self.dK, self.side)
+
     def as_tuple(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.d1, self.dI, self.dJ, self.dK)
+
+
+_set_d1, _set_dI, _set_dJ, _set_dK, _set_side = _slot_setters(HRGradient)
 
 
 def _require_side(h: HRGradient, side: Side, what: str) -> None:
@@ -93,7 +129,7 @@ def _require_side(h: HRGradient, side: Side, what: str) -> None:
 
 def side_mul(side: Side, p: Quaternion, q: Quaternion) -> Quaternion:
     """p q for the left operator, q p for the right one."""
-    return p * q if side is Side.LEFT else q * p
+    return p * q if side is _LEFT else q * p
 
 
 def side_dot(side: Side, ps, qs) -> Quaternion:
@@ -104,11 +140,11 @@ def side_dot(side: Side, ps, qs) -> Quaternion:
 
 def _side_mul4(side: Side, p, q) -> tuple[float, float, float, float]:
     """side_mul on float 4-tuples."""
-    return _hamilton(p, q) if side is Side.LEFT else _hamilton(q, p)
+    return _hamilton(p, q) if side is _LEFT else _hamilton(q, p)
 
 
-def _floats(q: Quaternion) -> tuple[float, float, float, float]:
-    return (q.a, q.b, q.c, q.d)
+#: A Quaternion's components as the float 4-tuple (a, b, c, d).
+_floats = attrgetter("a", "b", "c", "d")
 
 
 def hr_from_real(g: RealGradient, side: Side) -> HRGradient:

@@ -24,7 +24,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import InconsistentQuadruple, NonFiniteComponent
@@ -167,11 +167,11 @@ class Quaternion:
 
     def involution(self, axis: "AxisUnit") -> "Quaternion":
         """q^nu = -nu q nu: flips the two imaginary axes other than nu."""
-        if axis is AxisUnit.ONE:
+        if axis is _AXIS_ONE:
             return self
-        if axis is AxisUnit.I:
+        if axis is _AXIS_I:
             return _raw(self.a, self.b, -self.c, -self.d)
-        if axis is AxisUnit.J:
+        if axis is _AXIS_J:
             return _raw(self.a, -self.b, self.c, -self.d)
         return _raw(self.a, -self.b, -self.c, self.d)
 
@@ -196,8 +196,15 @@ class Quaternion:
 
 
 _new = object.__new__
-_set_a, _set_b, _set_c, _set_d = (Quaternion.__dict__[name].__set__
-                                  for name in "abcd")
+
+
+def _slot_setters(cls):
+    """The __set__ of each field's slot descriptor, in field order: a __new__
+    sets a frozen instance's fields through them, which __setattr__ refuses."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_set_a, _set_b, _set_c, _set_d = _slot_setters(Quaternion)
 
 
 def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
@@ -260,6 +267,9 @@ class AxisUnit(Enum):
 
 _AXIS_UNITS = {AxisUnit.ONE: ONE, AxisUnit.I: QI, AxisUnit.J: QJ, AxisUnit.K: QK}
 
+# the members bound once: each AxisUnit.X is a class attribute lookup
+_AXIS_ONE, _AXIS_I, _AXIS_J = AxisUnit.ONE, AxisUnit.I, AxisUnit.J
+
 IMAGINARY_AXES = (AxisUnit.I, AxisUnit.J, AxisUnit.K)
 
 
@@ -321,8 +331,13 @@ def polar(q: Quaternion) -> PolarForm:
 
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    """Four standard-normal components times scale, from a numpy Generator."""
-    return Quaternion(*(rng.standard_normal(4) * scale))
+    """Four standard-normal components times scale, from a numpy Generator.
+
+    The draws are multiplied as Python floats by float(scale): the products
+    of the float64 array times scale, bit for bit, without the array."""
+    a, b, c, d = rng.standard_normal(4).tolist()
+    s = float(scale)
+    return _raw(a * s, b * s, c * s, d * s)
 
 
 def power_by_squaring(x, n: int, one, mul=operator.mul):

@@ -314,9 +314,13 @@ class Elementary:
                    lambda z: n * _zpow(z, n - 1) if n else 0j, check, n, center)
 
     def _at(self, q: Quaternion) -> tuple[Quaternion, float, complex]:
-        """Check q, then qt = q - center, v = |I(qt)| and z = qt_a + i v."""
+        """Check q, then qt = q - center, v = |I(qt)| and z = qt_a + i v.
+
+        qt is q itself for the ZERO center (x - +0.0 is x bit for bit); the
+        test is identity, since subtracting a -0.0 center turns -0.0
+        components into +0.0."""
         self.check(q)
-        qt = q - self.center
+        qt = q if self.center is ZERO else q - self.center
         v = qt.imag_norm()
         return qt, v, complex(qt.a, v)
 

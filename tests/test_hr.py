@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -81,6 +84,39 @@ def test_jacobian_identities_exact_rational():
                     acc = tuple(x + y for x, y in zip(acc, term))
                 want = (quarter if i == j else Fraction(0), 0, 0, 0)
                 assert acc == tuple(Fraction(x) for x in want)
+
+
+# -- construction -------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [
+    RealGradient(Quaternion(1.5, -0.0, 2.0, -3.25), QI, ZERO,
+                 Quaternion(-0.0, 5e-324, -1e308, 0.5)),
+    HRGradient(Quaternion(1.5, -0.0), QJ, Quaternion(-0.0, -0.0, -0.0, -0.0),
+               QK, Side.RIGHT),
+], ids=["RealGradient", "HRGradient"])
+def test_gradients_copy_pickle_and_replace_round_trip(value):
+    # like Quaternion, neither has an __init__: these rebuild through __new__
+    cls = type(value)
+    for copied in (copy.copy(value), copy.deepcopy(value),
+                   pickle.loads(pickle.dumps(value)),
+                   pickle.loads(pickle.dumps(value, protocol=0)),
+                   dataclasses.replace(value)):
+        assert type(copied) is cls and repr(copied) == repr(value)
+        assert copied == value and hash(copied) == hash(value)
+    names = [f.name for f in dataclasses.fields(value)]
+    args = tuple(getattr(value, name) for name in names)
+    assert repr(cls(*args)) == repr(value)
+    assert repr(cls(**dict(zip(names, args)))) == repr(value)
+    replaced = dataclasses.replace(value, **{names[2]: ONE})
+    assert tuple(getattr(replaced, name) for name in names) == \
+        args[:2] + (ONE,) + args[3:]
+    for bad in (args[:-1], args + (ONE,)):
+        with pytest.raises(TypeError):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        dataclasses.replace(value, dX=ONE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[2], ONE)
 
 
 # -- basic conversions --------------------------------------------------------

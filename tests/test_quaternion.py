@@ -16,6 +16,7 @@ from quatgrad import (AxisUnit, DomainError, InconsistentQuadruple,
                       components_from_involutions, cosh_abs_sq, exp_q,
                       isclose, jet_pow, jet_seed, ln_q, polar,
                       power_derivative, power_derivative_oracle, tanh_q)
+from quatgrad.quaternion import random_quaternion
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -47,6 +48,25 @@ def test_copy_pickle_and_replace_round_trip():
     assert type(replaced.c) is float
     with pytest.raises(NonFiniteComponent):
         dataclasses.replace(q, d=math.inf)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 0.02, 3, np.float64(0.7),
+                                   np.float32(0.3)])
+def test_random_quaternion_matches_the_array_form(scale):
+    # the draws times float(scale) as Python floats, bit for bit the float64
+    # array times scale that random_quaternion once built from
+    new, old = (np.random.default_rng(20_261_019) for _ in range(2))
+    for _ in range(3000):
+        q = random_quaternion(new, scale)
+        assert repr(q) == repr(Quaternion(*(old.standard_normal(4) * scale)))
+        assert all(type(x) is float for x in (q.a, q.b, q.c, q.d))
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan,
+                                   np.float64(np.inf), np.float32(np.nan)])
+def test_random_quaternion_rejects_a_non_finite_scale(scale):
+    with pytest.raises(NonFiniteComponent):
+        random_quaternion(np.random.default_rng(5), scale)
 
 
 # -- multiplication ----------------------------------------------------------

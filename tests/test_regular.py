@@ -2,6 +2,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import qdist, rand_pure_unit, rand_quat, rand_quat_in_shell, tanh_safe
 from quatgrad import (DomainError, Elementary, FDConfig, ONE, OutsideAnnulus,
@@ -524,3 +526,55 @@ def test_each_route_evaluates_the_lift_once(q):
         counts[route] = (calls["F"], calls["dF"])
     assert counts == {"value": (1, 0), "hr_derivative": (1, 1),
                       "real_gradient": (1, 1)}
+
+
+# -- the zero center ----------------------------------------------------------
+
+_SIGNED_TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                2.2250738585072014e-308])
+_COMPONENTS = st.floats(min_value=-1e50, max_value=1e50) | _SIGNED_TINY
+_POINTS = st.builds(Quaternion, _COMPONENTS, _COMPONENTS, _COMPONENTS,
+                    _COMPONENTS)
+_ROUTES = ("value", "hr_derivative", "real_gradient")
+
+
+def _outcome(route, q, with_message=True):
+    try:
+        return repr(route(q))
+    except (ArithmeticError, ValueError) as e:  # NonFiniteComponent included
+        return (type(e), str(e)) if with_message else type(e)
+
+
+@given(_POINTS, st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 5]))
+@example(Quaternion(-0.0, -0.0, -0.0, -0.0), 2)
+@example(Quaternion(-0.0, -0.0, -0.0, -0.0), -1)
+@example(Quaternion(1.0, -0.0, 0.5, -5e-324), 3)
+@example(Quaternion(-5e-324, 5e-324, -0.0, 0.0), -2)
+def test_zero_center_shortcut_is_bit_identical(q, n):
+    # the ZERO center takes q as qt; any other center, a +0 one included,
+    # subtracts it
+    fast = Elementary.power(n)
+    plus_zero = Quaternion(0.0)
+    assert fast.center is ZERO and plus_zero is not ZERO
+    slow = Elementary.power(n, plus_zero)
+    for route in _ROUTES:
+        assert _outcome(getattr(fast, route), q) == \
+            _outcome(getattr(slow, route), q)
+    # a -0.0 center (== ZERO) still subtracts: its routes are those of the
+    # ZERO center at the explicit q - center, which has no -0.0 component
+    # (errors by type: the pole's message names the center)
+    minus_zero = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    assert minus_zero == ZERO
+    shifted = Elementary.power(n, minus_zero)
+    for route in _ROUTES:
+        assert _outcome(getattr(shifted, route), q, False) == \
+            _outcome(getattr(fast, route), q - minus_zero, False)
+
+
+def test_minus_zero_center_differs_from_the_shortcut():
+    # why the shortcut tests identity, not ==: q's -0.0 component keeps its
+    # sign through qt = q and loses it through q - (-0.0)
+    q = Quaternion(1.0, -0.0, 0.5, 0.0)
+    assert repr(Elementary.power(3).value(q).b) == "-0.0"
+    assert repr(Elementary.power(3, Quaternion(-0.0, -0.0, -0.0, -0.0))
+                .value(q).b) == "0.0"
