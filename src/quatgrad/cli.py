@@ -33,10 +33,9 @@ _FUNCTIONS = ("exp", "ln", "tanh", "power")
 
 
 def __getattr__(name):
-    """quatgrad.cli.validate and quatgrad.cli.qlms, imported on first
-    access (PEP 562)."""
-    if name in ("validate", "qlms"):
-        return import_module(f".{name}", __package__)
+    """quatgrad.cli.validate, imported on first access (PEP 562)."""
+    if name == "validate":
+        return import_module(".validate", __package__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -157,7 +156,7 @@ def _cmd_validate(args) -> int:
 _CONFIG_KEYS = ("M", "mu", "iterations", "noise_power", "seed", "true_weights")
 
 
-def load_experiment_config(path) -> "qlms.ExperimentConfig":
+def load_experiment_config(path):
     """Parse a key=value config file into an ExperimentConfig.
 
     Required keys: M, mu, iterations, noise_power, seed.  Optional:

@@ -18,8 +18,8 @@ The QJet type is a forward-mode carrier (value, RealGradient) propagated
 through arithmetic by the ordinary product rule, which remains valid for
 differentiation with respect to the real components.  Jets are the
 workhorse oracle: any composition of +, *, conjugation and inversion
-yields exact real partials, converted to HR form at the end.  Jet
-arithmetic, jet_pow and jet_exp run on float kernels over a jet's twenty
+yields exact real partials, converted to HR form at the end.  Jet +, -,
+*, inverse, jet_pow and jet_exp run on float kernels over a jet's twenty
 floats, bit-identical to the Quaternion form; only results are built as
 Quaternions, checked finite, so an overflow inside jet_pow's or jet_exp's
 loop raises NonFiniteComponent once, at the end.
@@ -265,10 +265,12 @@ def qmat_from_real(p) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 # A jet's floats are (value, dA, dB, dC, dD), each a float 4-tuple.  The
-# kernels below are the Quaternion forms of the QJet operations written
-# out on them: every product and sum of that form, zero terms included, in
-# its order, so results are bit-identical to it, signed zeros included.
-# Only the caller's results are built, by _raw, which checks them finite.
+# kernels below are the Quaternion forms of jet +, -, *, inverse, jet_pow
+# and jet_exp written out on them: every product and sum of that form,
+# zero terms included, in its order, so results are bit-identical to it,
+# signed zeros included.  Only the caller's results are built, by _raw,
+# which checks them finite.  Unary - and conjugate() have no kernel: they
+# only flip signs, so they are the Quaternion operations on each part.
 
 _Z4 = (0.0, 0.0, 0.0, 0.0)
 _ONE_JET = ((1.0, 0.0, 0.0, 0.0), _Z4, _Z4, _Z4, _Z4)
@@ -285,21 +287,12 @@ def _neg4(x):
     return (-a, -b, -c, -d)
 
 
-def _conj4(x):
-    a, b, c, d = x
-    return (a, -b, -c, -d)
-
-
 def _jet_add(x, y):
     return tuple(map(_add4, x, y))
 
 
-def _jet_neg(x):
-    return tuple(map(_neg4, x))
-
-
 def _jet_sub(x, y):  # x + (-y) is x - y bit for bit
-    return _jet_add(x, _jet_neg(y))
+    return _jet_add(x, tuple(map(_neg4, y)))
 
 
 def _jet_mul(x, y):
@@ -355,8 +348,8 @@ class QJet:
 
     Arithmetic follows the ordinary order-preserving product rule on the
     real partials, so jets compose through any expression built from +, -,
-    *, conjugate() and inverse().  Each operation unpacks its operands to
-    floats once, runs a kernel and builds its result.
+    *, conjugate() and inverse().  Binary +, - and *, and inverse(), run a
+    float kernel; unary - and conjugate() are the Quaternion's on each part.
     """
 
     value: Quaternion
@@ -370,11 +363,12 @@ class QJet:
     __rmul__ = _operator(_jet_mul, reflected=True)
 
     def __neg__(self):
-        return _jet(_jet_neg(_jet_floats(self)))
+        return QJet(-self.value, RealGradient(*(-p for p in self.grad.as_tuple())))
 
     def conjugate(self) -> "QJet":
         """Conjugation commutes with the real partials."""
-        return _jet(tuple(map(_conj4, _jet_floats(self))))
+        return QJet(self.value.conjugate(),
+                    RealGradient(*(p.conjugate() for p in self.grad.as_tuple())))
 
     def inverse(self) -> "QJet":
         """d(f^-1)/dq_phi = -f^-1 (df/dq_phi) f^-1; f^-1 is the value's

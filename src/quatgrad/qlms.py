@@ -54,8 +54,8 @@ class FilterState:
         if len(self.weights) < 1:
             raise ValueError("filter needs at least one tap")
         # mu = 0 is admitted so that "zero step leaves weights unchanged"
-        # is expressible; negative steps are rejected
-        if self.step_size < 0.0:
+        # is expressible; negative, nan and infinite steps are rejected
+        if not 0.0 <= self.step_size < math.inf:
             raise ValueError(f"step size must be nonnegative, got {self.step_size}")
 
 

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -243,6 +245,18 @@ def test_validate_fd_prints_slopes(capsys):
     assert "slope" in out
 
 
+def test_validate_without_suite_runs_every_suite_in_order(capsys):
+    from quatgrad.validate import SUITE_NAMES
+    code, out, _ = run_cli(capsys, "validate")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    summaries = [line for line in lines
+                 if re.fullmatch(r"\w+: (PASS|FAIL) \(worst error .*\)", line)]
+    assert [line.split(":")[0] for line in summaries] == list(SUITE_NAMES)
+    assert all(": PASS (" in line for line in summaries)
+    assert lines[-1] == "overall: PASS"
+
+
 def test_validate_rejects_unknown_suite(capsys):
     assert run_cli(capsys, "validate", "nonsense")[0] == EXIT_PARSE
 
@@ -338,6 +352,25 @@ def test_qlms_run_csv_matches_library_run(tmp_path, capsys, recwarn):
     se, we = read_record_csv(out_path)
     assert se == record.squared_error
     assert we == record.weight_error_sq
+
+
+def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, capsys,
+                                                      recwarn):
+    # the README config: its final error norm is about 1.75e-16
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
+                        "0+0i+1j+0k;0+0i+0j+1k\n")
+    code, out, _ = run_cli(capsys, "qlms-run", str(cfg_path),
+                           str(tmp_path / "out.csv"))
+    assert code == EXIT_OK
+    printed = float(out.split("final weight error norm:")[1])
+    cfg = load_experiment_config(cfg_path)
+    record = run_system_identification(cfg)
+    exact = math.sqrt(math.fsum(
+        x * x for w, wt in zip(record.final_weights, cfg.true_weights)
+        for x in dataclasses.astuple(w - wt)))
+    assert 0.0 < exact
+    assert printed == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_qlms_run_explicit_weights(tmp_path, capsys):

@@ -210,6 +210,14 @@ def test_filter_state_rejects_no_taps_and_negative_step():
         FilterState((ZERO,), -0.1)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_filter_state_rejects_nan_and_infinite_step(mu):
+    # as ExperimentConfig does; accepted, such a step fails only later,
+    # inside update_step
+    with pytest.raises(ValueError, match="nonnegative"):
+        FilterState((ZERO,), mu)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(filter_length=0)
