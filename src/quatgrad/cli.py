@@ -105,9 +105,14 @@ def _parse_function(text: str) -> Elementary:
     if not fields[0] or len(fields) > 2:
         raise ValueError(f"bad power argument {text!r}, "
                          "expected power:<n>[:<center>]")
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise ValueError(f"bad power argument {text!r}: the exponent "
+                         f"{fields[0]!r} is not an integer") from None
     center = Quaternion.from_string(fields[1]) if len(fields) == 2 \
         else Quaternion(0.0)
-    return Elementary.power(int(fields[0]), center)
+    return Elementary.power(n, center)
 
 
 def _cmd_eval_grad(args) -> int:
@@ -166,7 +171,7 @@ def load_experiment_config(path):
     from .qlms import ExperimentConfig
     with open(path) as fh:  # not pathlib, which eval-grad would load
         text = fh.read()
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -179,21 +184,30 @@ def load_experiment_config(path):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
+        values[key] = lineno, value.strip()
     missing = [k for k in _CONFIG_KEYS[:-1] if k not in values]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
 
-    weights = values.get("true_weights")
-    if weights is not None:
-        weights = tuple(map(Quaternion.from_string, weights.split(";")))
+    def parse(key, kind):
+        """kind(value of key); its ValueError names the key and line."""
+        lineno, text = values[key]
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+
+    weights = None
+    if "true_weights" in values:
+        weights = parse("true_weights", lambda text: tuple(
+            map(Quaternion.from_string, text.split(";"))))
     return ExperimentConfig(
-        filter_length=int(values["M"]),
+        filter_length=parse("M", int),
         true_weights=weights,
-        noise_power=float(values["noise_power"]),
-        step_size=float(values["mu"]),
-        iterations=int(values["iterations"]),
-        rng_seed=int(values["seed"]),
+        noise_power=parse("noise_power", float),
+        step_size=parse("mu", float),
+        iterations=parse("iterations", int),
+        rng_seed=parse("seed", int),
     )
 
 

@@ -46,20 +46,19 @@ def _estimate(f: QuatFn, q: Quaternion, h: float, scheme: str):
 def real_partials_fd(f: QuatFn, q: Quaternion, cfg: FDConfig) -> RealGradient:
     """Estimate (df/dq_a, .., df/dq_d) by finite differences.
 
-    Richardson extrapolation combines the h and h/2 estimates with the
-    weights matching the scheme order: (4 E_{h/2} - E_h)/3 for the
-    second-order central scheme, 2 E_{h/2} - E_h for the first-order
-    forward scheme.  Errors raised by f propagate unchanged.
+    Richardson extrapolation combines the h and h/2 estimates as
+    (w E_{h/2} - E_h)/(w - 1) with w = 2^order: 4 for the second-order
+    central scheme, 2 for the first-order forward scheme.  Errors raised
+    by f propagate unchanged.
     """
     coarse = _estimate(f, q, cfg.step, cfg.scheme)
     if not cfg.richardson:
         return RealGradient(*coarse)
     fine = _estimate(f, q, cfg.step / 2.0, cfg.scheme)
-    if cfg.scheme == "central":
-        combined = [(e2 * 4.0 - e1) * (1.0 / 3.0) for e1, e2 in zip(coarse, fine)]
-    else:
-        combined = [e2 * 2.0 - e1 for e1, e2 in zip(coarse, fine)]
-    return RealGradient(*combined)
+    w = 4.0 if cfg.scheme == "central" else 2.0
+    scale = 1.0 / (w - 1.0)  # forward: * 1.0, exact
+    return RealGradient(*[(e2 * w - e1) * scale
+                          for e1, e2 in zip(coarse, fine)])
 
 
 def hr_gradient_fd(f: QuatFn, q: Quaternion, cfg: FDConfig,

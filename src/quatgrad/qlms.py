@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import LengthMismatch
 from .hr import Side, side_dot
-from .quaternion import Quaternion, random_quaternion
+from .quaternion import Quaternion, _hamilton, random_quaternion
 
 #: Weight-vector norm beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -129,6 +129,11 @@ class ExperimentConfig:
     rng_seed: int
 
     def __post_init__(self):
+        for name in ("filter_length", "iterations"):
+            value = getattr(self, name)
+            # what operator.index takes (numpy integers too), but no bool
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
         if self.iterations < 1:
@@ -179,19 +184,16 @@ class ConvergenceRecord:
 
 def _samples(xs, noise, true):
     """Yield each row of xs as lists and its d + noise as 4 floats: d =
-    0 + sum wt x in one numpy pass per tap column of a block, the noise
-    added last, so each element sees the spec API's float operations in
-    their order.  Rows become lists one at a time, to hold few objects."""
+    0 + sum wt x, one _hamilton on numpy arrays per tap column of a block,
+    the noise added last: each element sees the spec API's float operations
+    in their order.  Rows become lists one at a time, to hold few objects."""
     import numpy as np
     for start in range(0, len(xs), _BLOCK_ROWS):
         block = xs[start:start + _BLOCK_ROWS]
         da = db = dc = dd = 0.0
-        for tap, (ta, tb, tc, td) in enumerate(true):
-            xa, xb, xc, xd = block[:, tap].T
-            da = da + (ta * xa - tb * xb - tc * xc - td * xd)
-            db = db + (ta * xb + tb * xa + tc * xd - td * xc)
-            dc = dc + (ta * xc - tb * xd + tc * xa + td * xb)
-            dd = dd + (ta * xd + tb * xc - tc * xb + td * xa)
+        for tap, t in enumerate(true):
+            pa, pb, pc, pd = _hamilton(t, block[:, tap].T)
+            da, db, dc, dd = da + pa, db + pb, dc + pc, dd + pd
         desired = np.stack((da, db, dc, dd), axis=1) \
             + noise[start:start + _BLOCK_ROWS]
         for x, s in zip(block, desired):
@@ -212,11 +214,11 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     DIVERGENCE_LIMIT or is not finite; when the last update overflowed
     to inf or nan, final_weights holds the last finite weights.
 
-    d + noise is formed per block of samples in numpy tap-column passes,
-    and the per-sample loop runs y = w^T x, e, the update and |w - w_true|^2
-    on float 4-tuples: the same operations per element, in the same order,
-    so the record is bit-identical to a loop over the spec API (checked by
-    test).
+    d + noise is formed per block of samples in numpy tap-column passes;
+    the per-sample loop runs y = w^T x, e, the update and |w - w_true|^2 on
+    float 4-tuples and adds up taps left to right in its own loops, never
+    with sum(): the same operations per element, in the same order, so the
+    record is bit-identical to a loop over the spec API (checked by test).
     """
     # numpy only here, where the signals are drawn: importing quatgrad
     # (and the eval-grad command) does not load it
@@ -240,9 +242,11 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
     limit_sq = DIVERGENCE_LIMIT ** 2
     true = [(t.a, t.b, t.c, t.d) for t in cfg.true_weights]
     weights = [(0.0, 0.0, 0.0, 0.0)] * m
-    # |w - wt|^2 per tap before each update; of the zero weights, (0 - t)^2
-    # is t * t exactly
-    werr = [ta * ta + tb * tb + tc * tc + td * td for ta, tb, tc, td in true]
+    # |w - wt|^2 before each update, summed tap by tap from 0.0; of the zero
+    # weights, (0 - t)^2 is t * t exactly
+    err_sq = 0.0
+    for ta, tb, tc, td in true:
+        err_sq = err_sq + (ta * ta + tb * tb + tc * tc + td * td)
     record = ConvergenceRecord()
     for x, (sa, sb, sc, sd) in _samples(xs, noise, true):
         # y = 0 + sum w x, products in the order w*x
@@ -257,15 +261,13 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
         ec = sc - yc
         ed = sd - yd
         record.squared_error.append(ea * ea + eb * eb + ec * ec + ed * ed)
-        # sum() as in the spec loop: since Python 3.12 it is compensated
-        record.weight_error_sq.append(sum(werr))
+        record.weight_error_sq.append(err_sq)
 
         # w + (e x*) mu, the Hamilton product with x* = (xa, -xb, -xc, -xd)
-        # written with its signs folded in (exact in IEEE arithmetic); then
-        # |w - wt|^2 of the new weights for the next sample
+        # written with its signs folded in (exact in IEEE arithmetic), and
+        # |w|^2 and |w - wt|^2 (for the next sample) of the new weights
         new = []
-        norms = []
-        werr = []
+        norm_sq = err_sq = 0.0
         for (wa, wb, wc, wd), (xa, xb, xc, xd), (ta, tb, tc, td) \
                 in zip(weights, x, true):
             wa = wa + (ea * xa + eb * xb + ec * xc + ed * xd) * mu
@@ -273,11 +275,11 @@ def run_system_identification(cfg: ExperimentConfig) -> ConvergenceRecord:
             wc = wc + (eb * xd - ea * xc + ec * xa - ed * xb) * mu
             wd = wd + (-ea * xd - eb * xc + ec * xb + ed * xa) * mu
             new.append((wa, wb, wc, wd))
-            norms.append(wa * wa + wb * wb + wc * wc + wd * wd)
+            norm_sq = norm_sq + (wa * wa + wb * wb + wc * wc + wd * wd)
             ga, gb, gc, gd = wa - ta, wb - tb, wc - tc, wd - td
-            werr.append(ga * ga + gb * gb + gc * gc + gd * gd)
+            err_sq = err_sq + (ga * ga + gb * gb + gc * gc + gd * gd)
         # "not <=" counts nan and inf weights as diverged too
-        if not sum(norms) <= limit_sq:
+        if not norm_sq <= limit_sq:
             record.diverged = True
             if all(map(math.isfinite, (c for w in new for c in w))):
                 weights = new

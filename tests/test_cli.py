@@ -200,6 +200,12 @@ def test_eval_grad_unknown_function_line(capsys, function):
         f"{function!r} (expected exp, ln, tanh, power)\n")
 
 
+def test_eval_grad_non_integer_exponent_names_the_power_argument(capsys):
+    assert run_cli(capsys, "eval-grad", "power:2.5", "1+0i+0j+0k") == (
+        EXIT_PARSE, "", "parse error: bad power argument 'power:2.5': the "
+        "exponent '2.5' is not an integer\n")
+
+
 def test_unknown_flag_is_parse_error(capsys):
     assert run_cli(capsys, "eval-grad", "exp", "0+0i+0j+0k",
                    "--frobnicate")[0] == EXIT_PARSE
@@ -449,6 +455,27 @@ def test_config_blank_lines_between_keys_are_skipped(tmp_path):
      "config error: line 5: duplicate key 'M'"),
 ])
 def test_qlms_run_config_line_errors(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("M=4\nmu=0.05\niterations=10\nnoise_power=0\n\nseed=1e3\n",
+     "config error: line 6: seed: invalid literal for int() with base 10: "
+     "'1e3'"),
+    ("M=4\nmu=fast\niterations=10\nnoise_power=0\nseed=1\n",
+     "config error: line 2: mu: could not convert string to float: 'fast'"),
+    ("M=2\nmu=0.05\niterations=10\nnoise_power=0\nseed=1\n"
+     "true_weights=1+0i+0j+0k;1+0i\n",
+     "config error: line 6: true_weights: not a quaternion string: '1+0i' "
+     "(expected a+bi+cj+dk with all four components)"),
+], ids=["seed", "mu", "true_weights"])
+def test_qlms_run_config_value_errors_name_key_and_line(tmp_path, capsys,
+                                                        text, message):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     out_path = tmp_path / "out.csv"

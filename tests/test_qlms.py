@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import math
@@ -236,6 +237,30 @@ def test_config_rejects_non_finite(field, value):
         _config(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["filter_length", "iterations"])
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), True, "2"])
+@pytest.mark.parametrize("weights", [(ONE, QI), None])
+def test_config_rejects_non_integer_counts_before_any_draw(
+        monkeypatch, field, value, weights):
+    # 2.0 passed every check and failed in the run (or, without weights, in
+    # the draw) with a TypeError
+    def no_draw(*args, **kwargs):
+        raise AssertionError("something was drawn")
+
+    monkeypatch.setattr("numpy.random.default_rng", no_draw)
+    kwargs = dict(filter_length=2, true_weights=weights, iterations=3)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        _config(**kwargs)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = _config(filter_length=np.int64(2), true_weights=None,
+                  iterations=np.int32(3), step_size=0.01)
+    assert len(cfg.true_weights) == 2
+    assert len(run_system_identification(cfg).squared_error) == 3
+
+
 @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.5, 2.0, "3", None])
 def test_config_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="rng_seed"):
@@ -357,11 +382,15 @@ def _spec_run(cfg):
             d = d + wt * xm
         sample = SamplePair(x, d + Quaternion(*(float(v) for v in noise[n])))
         record.squared_error.append(error_signal(state, sample).norm_sq())
-        record.weight_error_sq.append(
-            sum((w - wt).norm_sq()
-                for w, wt in zip(state.weights, cfg.true_weights)))
+        err_sq = 0.0
+        for w, wt in zip(state.weights, cfg.true_weights):
+            err_sq = err_sq + (w - wt).norm_sq()
+        record.weight_error_sq.append(err_sq)
         state = update_step(state, sample)
-        if sum(w.norm_sq() for w in state.weights) > DIVERGENCE_LIMIT ** 2:
+        norm_sq = 0.0
+        for w in state.weights:
+            norm_sq = norm_sq + w.norm_sq()
+        if norm_sq > DIVERGENCE_LIMIT ** 2:
             record.diverged = True
             break
     record.final_weights = state.weights
@@ -441,6 +470,50 @@ def test_block_pass_noiseless_at_extreme_weight_scales(scale):
         step_size=0.5 / 24.0, iterations=1100, rng_seed=4))
     assert not record.diverged
     assert len(record.squared_error) == 1100
+
+
+_BUILTIN_SUM = sum
+
+
+def _neumaier_sum(iterable, /, start=0):
+    """sum() of exact floats as CPython 3.12's builtin_sum_impl adds them:
+    0 + x1, then a Neumaier compensation c, added at the end when it is
+    finite and nonzero.  Any other start or item goes to the real sum."""
+    items = list(iterable)
+    if not (type(start) is int and start == 0 and items
+            and all(type(x) is float for x in items)):
+        return _BUILTIN_SUM(items, start)
+    total, c = 0 + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("m, weights, noise_power, mu, iterations, seed", [
+    (4, (ONE, QI, QJ, QK), 0.0, 0.05, 2000, 123),  # the README config
+    (32, None, 0.01, 0.01 / 32, 400, 6),
+    (4, None, 0.01, 5.0, 500, 3),                  # diverges
+], ids=["readme", "m32", "diverges"])
+def test_records_do_not_depend_on_how_sum_adds_floats(
+        monkeypatch, m, weights, noise_power, mu, iterations, seed):
+    # Python 3.12 and later sum floats with compensation; the harness sums
+    # in its own loops, so its records are the same on every Python
+    cfg = ExperimentConfig(filter_length=m, true_weights=weights,
+                           noise_power=noise_power, step_size=mu,
+                           iterations=iterations, rng_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        native = run_system_identification(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", _neumaier_sum)
+            assert sum([0.1] * 10) == 1.0  # a left fold: 0.9999999999999999
+            emulated = run_system_identification(cfg)
+    assert emulated.squared_error == native.squared_error
+    assert emulated.weight_error_sq == native.weight_error_sq
+    assert emulated.final_weights == native.final_weights
+    assert emulated.diverged == native.diverged == (mu == 5.0)
 
 
 def test_overflowing_update_is_divergence():
