@@ -117,8 +117,9 @@ class ExperimentConfig:
             e e* stays finite; each of the four axes gets noise_power/4.
         step_size: the QLMS mu.
         iterations: number of update steps N, M * N <= MAX_TAP_ITERATIONS.
-        rng_seed: seed for the input/noise generator, an int >= 0; runs
-            are bit-reproducible per seed.
+        rng_seed: seed for the input/noise generator, an integer >= 0
+            (numpy integers included, not a bool); runs are
+            bit-reproducible per seed.
     """
 
     filter_length: int
@@ -129,16 +130,15 @@ class ExperimentConfig:
     rng_seed: int
 
     def __post_init__(self):
-        for name in ("filter_length", "iterations"):
+        for name, lowest in (("filter_length", 1), ("iterations", 1),
+                             ("rng_seed", 0)):
             value = getattr(self, name)
             # what operator.index takes (numpy integers too), but no bool
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.filter_length < 1:
-            raise ValueError("filter_length must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.filter_length * self.iterations > MAX_TAP_ITERATIONS:
+            if isinstance(value, bool) or not hasattr(value, "__index__") \
+                    or value.__index__() < lowest:
+                raise ValueError(
+                    f"{name} must be an integer >= {lowest}, got {value!r}")
+        if int(self.filter_length) * int(self.iterations) > MAX_TAP_ITERATIONS:
             raise ValueError(f"filter_length * iterations is past 2**25 = "
                              f"{MAX_TAP_ITERATIONS}, 1 GiB of inputs")
         # "not in range" rejects nan too: every comparison with nan is false
@@ -147,9 +147,6 @@ class ExperimentConfig:
                              f"{DIVERGENCE_LIMIT ** 2:.0e}]")
         if not 0.0 <= self.step_size < math.inf:
             raise ValueError("step_size must be finite and nonnegative")
-        if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
-            raise ValueError(
-                f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if self.true_weights is None:
             import numpy as np
             rng = np.random.default_rng([self.rng_seed, 1])
@@ -159,9 +156,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"true_weights has length {len(self.true_weights)}, "
                 f"expected {self.filter_length}")
-        # the run stops as divergent before the weights could get there
-        if not sum(w.norm_sq() for w in self.true_weights) \
-                <= DIVERGENCE_LIMIT ** 2:
+        # the run stops as divergent before the weights could get there;
+        # a left fold, not sum(), which compensates since Python 3.12
+        norm_sq = 0.0
+        for w in self.true_weights:
+            norm_sq += w.norm_sq()
+        if not norm_sq <= DIVERGENCE_LIMIT ** 2:
             raise ValueError(f"true_weights norm must be at most "
                              f"{DIVERGENCE_LIMIT:.0e}, the divergence limit")
 

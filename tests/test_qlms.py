@@ -17,6 +17,7 @@ from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       predict, read_record_csv, real_valued_reduce,
                       run_system_identification, update_step,
                       write_record_csv)
+from quatgrad.cli import main
 from quatgrad.qlms import _BLOCK_ROWS, MAX_TAP_ITERATIONS
 
 
@@ -273,6 +274,43 @@ def test_config_accepts_huge_seed():
     assert len(record.squared_error) == 3
 
 
+@pytest.mark.parametrize("seed", [True, False, np.True_],
+                         ids=["True", "False", "np.True_"])
+def test_config_rejects_bool_seed_before_any_draw(monkeypatch, seed):
+    # True passed and ran as seed 1, as filter_length=True never did
+    def no_draw(*args, **kwargs):
+        raise AssertionError("something was drawn")
+
+    monkeypatch.setattr("numpy.random.default_rng", no_draw)
+    with pytest.raises(ValueError, match="^rng_seed must be an integer >= 0"):
+        _config(true_weights=None, rng_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.int32(7), np.uint64(7)])
+def test_config_accepts_numpy_integer_seed(seed):
+    # default_rng takes them, and so do filter_length and iterations
+    def run(seed):
+        cfg = _config(filter_length=3, true_weights=None, noise_power=0.01,
+                      step_size=0.01, iterations=500, rng_seed=seed)
+        return cfg.true_weights, run_system_identification(cfg)
+
+    weights, record = run(seed)
+    weights_7, record_7 = run(7)
+    assert weights == weights_7
+    assert record == record_7
+
+
+def test_config_integer_settings_boundaries():
+    lowest = dict(filter_length=1, true_weights=(ONE,), iterations=1,
+                  rng_seed=0)
+    assert len(run_system_identification(_config(**lowest)).squared_error) == 1
+    for name, value, bound in (("filter_length", 0, 1), ("iterations", 0, 1),
+                               ("rng_seed", -1, 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer "
+                                             f">= {bound}, got {value}$"):
+            _config(**{**lowest, name: value})
+
+
 def test_config_bounds_noise_power_by_squared_divergence_limit():
     _config(noise_power=DIVERGENCE_LIMIT ** 2)
     for power in (2 * DIVERGENCE_LIMIT ** 2, 1e308):
@@ -288,6 +326,14 @@ def test_config_bounds_tap_iterations():
     for m, n in ((32, 10_000_000), (1, MAX_TAP_ITERATIONS + 1)):
         with pytest.raises(ValueError, match="filter_length \\* iterations"):
             _config(filter_length=m, true_weights=(ONE,) * m, iterations=n)
+
+
+def test_config_bounds_tap_iterations_of_numpy_counts():
+    # two np.int32 counts multiplied in int32: 2**16 * 2**16 wrapped to 0
+    # and passed the bound
+    with pytest.raises(ValueError, match="filter_length \\* iterations"):
+        _config(filter_length=np.int32(2 ** 16),
+                true_weights=(ONE,) * 2 ** 16, iterations=np.int32(2 ** 16))
 
 
 def test_drawn_weights_checked_before_the_draw(monkeypatch):
@@ -514,6 +560,41 @@ def test_records_do_not_depend_on_how_sum_adds_floats(
     assert emulated.weight_error_sq == native.weight_error_sq
     assert emulated.final_weights == native.final_weights
     assert emulated.diverged == native.diverged == (mu == 5.0)
+
+
+def test_config_bound_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # 1e24 + 7330**2 rounds back to 1e24, twice, in a left fold; the
+    # compensated sum of Python 3.12 and later added the two terms back
+    # and rejected these weights
+    weights = (Quaternion(DIVERGENCE_LIMIT), Quaternion(7330.0),
+               Quaternion(7330.0))
+    native = _config(filter_length=3, true_weights=weights)
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "sum", _neumaier_sum)
+        assert sum([0.1] * 10) == 1.0  # a left fold: 0.9999999999999999
+        emulated = _config(filter_length=3, true_weights=weights)
+    assert emulated == native
+
+
+def test_final_norm_line_does_not_depend_on_how_sum_adds_floats(
+        tmp_path, capsys, monkeypatch):
+    # qlms-run on the README config; sum() printed ...614e-16 under the
+    # emulation
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("M=4\nmu=0.05\niterations=2000\nnoise_power=0.0\n"
+                        "seed=123\ntrue_weights=1+0i+0j+0k;0+1i+0j+0k;"
+                        "0+0i+1j+0k;0+0i+0j+1k\n")
+    argv = ["qlms-run", str(cfg_path), str(tmp_path / "out.csv")]
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        for emulate in (False, True):
+            with monkeypatch.context() as patch:
+                if emulate:
+                    patch.setattr(builtins, "sum", _neumaier_sum)
+                assert main(argv) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+    assert lines == ["final weight error norm: 1.7519707852371616e-16"] * 2
 
 
 def test_overflowing_update_is_divergence():
