@@ -15,7 +15,7 @@ from importlib import import_module
 
 from .errors import NonFiniteComponent
 from .hr import Side, hr_from_real
-from .quaternion import Quaternion
+from .quaternion import Quaternion, left_sum
 from .regular import Elementary
 
 EXIT_OK = 0
@@ -243,11 +243,8 @@ def _cmd_qlms_run(args) -> int:
               f"finite after {len(record.squared_error)} iterations",
               file=sys.stderr)
         return EXIT_DIVERGED
-    # a left fold, not sum(), which compensates since Python 3.12: the same
-    # bytes on every Python
-    final_err_sq = 0.0
-    for w, wt in zip(record.final_weights, cfg.true_weights):
-        final_err_sq += (w - wt).norm_sq()
+    final_err_sq = left_sum((w - wt).norm_sq() for w, wt
+                            in zip(record.final_weights, cfg.true_weights))
     print(f"final weight error norm: {final_err_sq ** 0.5!r}")
     return EXIT_OK
 

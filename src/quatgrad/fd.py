@@ -10,7 +10,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .hr import HRGradient, RealGradient, Side, hr_from_real
-from .quaternion import ONE, QI, QJ, QK, Quaternion
+from .quaternion import ONE, QI, QJ, QK, Quaternion, left_sum
 
 _AXES = (ONE, QI, QJ, QK)
 
@@ -75,9 +75,10 @@ def rel_error(x: Quaternion, y: Quaternion) -> float:
 
 def gradient_error(g: RealGradient, reference: RealGradient) -> float:
     """Aggregate relative distance between two real gradients."""
-    num = math.sqrt(sum((a - b).norm_sq()
-                        for a, b in zip(g.as_tuple(), reference.as_tuple())))
-    den = max(1.0, math.sqrt(sum(b.norm_sq() for b in reference.as_tuple())))
+    num = math.sqrt(left_sum((a - b).norm_sq() for a, b
+                             in zip(g.as_tuple(), reference.as_tuple())))
+    den = max(1.0, math.sqrt(left_sum(b.norm_sq()
+                                      for b in reference.as_tuple())))
     return num / den
 
 
@@ -107,7 +108,7 @@ def convergence_order(f: QuatFn, q: Quaternion, steps: Sequence[float],
 def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Slope of the least-squares line through (xs, ys):
     sum (x - mean x)(y - mean y) / sum (x - mean x)^2."""
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(ys) / len(ys)
-    return (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-            / sum((x - x_mean) ** 2 for x in xs))
+    x_mean = left_sum(xs) / len(xs)
+    y_mean = left_sum(ys) / len(ys)
+    return (left_sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+            / left_sum((x - x_mean) ** 2 for x in xs))

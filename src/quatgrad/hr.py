@@ -26,15 +26,13 @@ loop raises NonFiniteComponent once, at the end.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import attrgetter
 
 from .errors import NonFiniteComponent, NotRealValued, SideMismatch
 from .quaternion import (IMAGINARY_AXES, ONE, QI, QJ, QK, RESIDUE_TOL, ZERO,
-                         AxisUnit, Quaternion, _UNITS4, _hamilton, _new, _raw,
-                         _slot_setters)
+                         AxisUnit, Quaternion, _Record, _UNITS4, _hamilton,
+                         _new, _raw)
 
 
 class Side(Enum):
@@ -45,17 +43,13 @@ class Side(Enum):
 _LEFT = Side.LEFT  # bound once: each Side.LEFT is a class attribute lookup
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RealGradient:
+class RealGradient(_Record):
     """The four quaternion partials (df/dq_a, df/dq_b, df/dq_c, df/dq_d).
 
     Built like Quaternion: __new__ sets the slots, and copy, pickle and
     dataclasses.replace rebuild through it."""
 
-    dA: Quaternion
-    dB: Quaternion
-    dC: Quaternion
-    dD: Quaternion
+    __slots__ = ("dA", "dB", "dC", "dD")
 
     def __new__(cls, dA, dB, dC, dD):
         g = _new(cls)
@@ -68,14 +62,12 @@ class RealGradient:
     def as_tuple(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.dA, self.dB, self.dC, self.dD)
 
-    __getnewargs__ = as_tuple
-
     def involution(self, axis: AxisUnit) -> "RealGradient":
         """Apply the axis involution to every partial."""
         return RealGradient(*(p.involution(axis) for p in self.as_tuple()))
 
 
-_set_dA, _set_dB, _set_dC, _set_dD = _slot_setters(RealGradient)
+_set_dA, _set_dB, _set_dC, _set_dD = RealGradient._setters
 
 
 #: Real gradient of the identity function f(q) = q.
@@ -84,19 +76,14 @@ IDENTITY_GRADIENT = RealGradient(ONE, QI, QJ, QK)
 ZERO_GRADIENT = RealGradient(ZERO, ZERO, ZERO, ZERO)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class HRGradient:
+class HRGradient(_Record):
     """Partials with respect to (q, q^i, q^j, q^k), tagged left or right.
 
     Mixing sides is a hard error everywhere in this module: left and right
     gradients differ already for linear functions.  Built like RealGradient.
     """
 
-    d1: Quaternion
-    dI: Quaternion
-    dJ: Quaternion
-    dK: Quaternion
-    side: Side
+    __slots__ = ("d1", "dI", "dJ", "dK", "side")
 
     def __new__(cls, d1, dI, dJ, dK, side):
         h = _new(cls)
@@ -107,14 +94,11 @@ class HRGradient:
         _set_side(h, side)
         return h
 
-    def __getnewargs__(self):
-        return (self.d1, self.dI, self.dJ, self.dK, self.side)
-
     def as_tuple(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.d1, self.dI, self.dJ, self.dK)
 
 
-_set_d1, _set_dI, _set_dJ, _set_dK, _set_side = _slot_setters(HRGradient)
+_set_d1, _set_dI, _set_dJ, _set_dK, _set_side = HRGradient._setters
 
 
 def _require_side(h: HRGradient, side: Side, what: str) -> None:
@@ -144,7 +128,7 @@ def _side_mul4(side: Side, p, q) -> tuple[float, float, float, float]:
 
 
 #: A Quaternion's components as the float 4-tuple (a, b, c, d).
-_floats = attrgetter("a", "b", "c", "d")
+_floats = Quaternion._key
 
 
 def hr_from_real(g: RealGradient, side: Side) -> HRGradient:
@@ -342,8 +326,7 @@ def _operator(kernel, reflected=False):
     return op
 
 
-@dataclass(frozen=True, slots=True)
-class QJet:
+class QJet(_Record):
     """A function value together with its RealGradient at the base point.
 
     Arithmetic follows the ordinary order-preserving product rule on the
@@ -352,8 +335,13 @@ class QJet:
     float kernel; unary - and conjugate() are the Quaternion's on each part.
     """
 
-    value: Quaternion
-    grad: RealGradient
+    __slots__ = ("value", "grad")
+
+    def __new__(cls, value, grad):
+        j, (set_value, set_grad) = _new(cls), cls._setters
+        set_value(j, value)
+        set_grad(j, grad)
+        return j
 
     __add__ = _operator(_jet_add)
     __radd__ = _operator(_jet_add, reflected=True)

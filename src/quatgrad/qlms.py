@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import LengthMismatch
 from .hr import Side, side_dot
-from .quaternion import Quaternion, _hamilton, random_quaternion
+from .quaternion import Quaternion, _hamilton, left_sum, random_quaternion
 
 #: Weight-vector norm beyond which a run is declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -156,11 +156,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"true_weights has length {len(self.true_weights)}, "
                 f"expected {self.filter_length}")
-        # the run stops as divergent before the weights could get there;
-        # a left fold, not sum(), which compensates since Python 3.12
-        norm_sq = 0.0
-        for w in self.true_weights:
-            norm_sq += w.norm_sq()
+        # the run stops as divergent before the weights could get there
+        norm_sq = left_sum(w.norm_sq() for w in self.true_weights)
         if not norm_sq <= DIVERGENCE_LIMIT ** 2:
             raise ValueError(f"true_weights norm must be at most "
                              f"{DIVERGENCE_LIMIT:.0e}, the divergence limit")

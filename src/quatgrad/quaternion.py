@@ -24,8 +24,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, fields
 from enum import Enum
+from functools import reduce
 
 from .errors import InconsistentQuadruple, NonFiniteComponent
 
@@ -37,8 +37,61 @@ RESIDUE_TOL = 1e-10
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Quaternion:
+class _FieldsOnFirstRead:
+    """__dataclass_fields__, built on first read and cached on the class."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import _FIELD, field
+        cls.__dataclass_fields__ = fields = {name: field(
+            repr=name in cls._compared, compare=name in cls._compared)
+            for name in cls.__slots__}
+        for name, f in fields.items():
+            f.name, f._field_type = name, _FIELD
+        return fields
+
+
+class _Record:
+    """A frozen @dataclass over __slots__, without importing dataclasses: repr,
+    == and hash see the compared fields (every slot unless the class keyword
+    names fewer); a __new__ sets the slots through cls._setters."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared=None):
+        cls._compared = compared or cls.__slots__
+        cls._key = operator.attrgetter(*cls._compared)
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
+        cls.__dataclass_fields__ = _FieldsOnFirstRead()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._compared, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __new__
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+_new = object.__new__
+
+
+class Quaternion(_Record):
     """An immutable quaternion with components (a, b, c, d).
 
     All arithmetic returns new instances; values are safe to share across
@@ -49,17 +102,23 @@ class Quaternion:
     operand is converted with float() first).
     """
 
-    a: float
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
+    __slots__ = ("a", "b", "c", "d")
 
     def __new__(cls, a, b=0.0, c=0.0, d=0.0):
         return _raw(float(a), float(b), float(c), float(d))
 
-    def __getnewargs__(self):
-        # copy, deepcopy and pickle rebuild through __new__
-        return (self.a, self.b, self.c, self.d)
+    def __eq__(self, other):  # as @dataclass writes it: _Record's is slower
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == \
+                (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return (f"Quaternion(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     # -- basic structure ------------------------------------------------
 
@@ -195,16 +254,7 @@ class Quaternion:
                    float(m.group(3)), float(m.group(4)))
 
 
-_new = object.__new__
-
-
-def _slot_setters(cls):
-    """The __set__ of each field's slot descriptor, in field order: a __new__
-    sets a frozen instance's fields through them, which __setattr__ refuses."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-_set_a, _set_b, _set_c, _set_d = _slot_setters(Quaternion)
+_set_a, _set_b, _set_c, _set_d = Quaternion._setters
 
 
 def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
@@ -305,8 +355,7 @@ def components_from_involutions(q: Quaternion, qi: Quaternion, qj: Quaternion,
     return tuple(value.a for value in recovered)
 
 
-@dataclass(frozen=True, slots=True)
-class PolarForm:
+class PolarForm(_Record):
     """q = real_part + imag_norm * imag_axis, with argument in [0, pi].
 
     When the imaginary part vanishes there is no distinguished axis:
@@ -314,10 +363,15 @@ class PolarForm:
     part.  Consumers must branch on imag_norm before touching imag_axis.
     """
 
-    real_part: float
-    imag_norm: float
-    imag_axis: Quaternion | None
-    argument: float
+    __slots__ = ("real_part", "imag_norm", "imag_axis", "argument")
+
+    def __new__(cls, real_part, imag_norm, imag_axis, argument):
+        p, (set_real, set_norm, set_axis, set_arg) = _new(cls), cls._setters
+        set_real(p, real_part)
+        set_norm(p, imag_norm)
+        set_axis(p, imag_axis)
+        set_arg(p, argument)
+        return p
 
 
 def polar(q: Quaternion) -> PolarForm:
@@ -352,4 +406,9 @@ def power_by_squaring(x, n: int, one, mul=operator.mul):
         if n:  # a square past the last bit could overflow needlessly
             x = mul(x, x)
     return result
+
+
+def left_sum(xs) -> float:
+    """The floats xs added left to right from 0.0, as sum() did before 3.12."""
+    return reduce(operator.add, xs, 0.0)
 

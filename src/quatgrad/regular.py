@@ -38,13 +38,11 @@ Chebyshev form power_derivative are the oracles.
 
 import cmath
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_dot
-from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _NORMAL_MIN, _raw,
-                         power_by_squaring)
+from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _NORMAL_MIN, _Record,
+                         _new, _raw, power_by_squaring)
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -110,8 +108,7 @@ def power_derivative_oracle(q: Quaternion, center: Quaternion, n: int) -> Quater
     return d
 
 
-@dataclass(frozen=True)
-class PowerSeriesFn:
+class PowerSeriesFn(_Record):
     """A one-sided power series Sum a_n (q - center)^n on an annulus.
 
     For side LEFT the coefficients multiply the powers from the left
@@ -121,17 +118,22 @@ class PowerSeriesFn:
     no negative powers is additionally valid at q = center.
     """
 
-    center: Quaternion
-    coeffs: dict[int, Quaternion]
-    side: Side = Side.LEFT
-    annulus: tuple[float, float] = (0.0, math.inf)
+    __slots__ = ("center", "coeffs", "side", "annulus")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, center, coeffs, side=Side.LEFT,
+                annulus=(0.0, math.inf)):
+        if not coeffs:
             raise ValueError("power series needs at least one coefficient")
-        lo, hi = self.annulus
+        lo, hi = annulus
         if not (0.0 <= lo <= hi):
-            raise ValueError(f"invalid annulus {self.annulus}")
+            raise ValueError(f"invalid annulus {annulus}")
+        s, (set_center, set_coeffs, set_side, set_annulus) = \
+            _new(cls), cls._setters
+        set_center(s, center)
+        set_coeffs(s, coeffs)
+        set_side(s, side)
+        set_annulus(s, annulus)
+        return s
 
     def _check_annulus(self, q: Quaternion) -> Quaternion:
         qt = q - self.center
@@ -273,8 +275,7 @@ def _ratio(f: complex, df: complex, v: float) -> float:
     return f.imag / v
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(_Record, compared=("kind", "n", "center")):
     """One of the elementary functions exp, ln, tanh or (q - center)^n.
 
     Each is the complex function F, its derivative F' and a domain check on
@@ -284,12 +285,18 @@ class Elementary:
     value each, built once; equality and repr see kind, n and center.
     """
 
-    kind: str
-    F: Callable[[complex], complex] = field(repr=False, compare=False)
-    dF: Callable[[complex], complex] = field(repr=False, compare=False)
-    check: Callable[[Quaternion], None] = field(repr=False, compare=False)
-    n: int = 0
-    center: Quaternion = ZERO
+    __slots__ = ("kind", "F", "dF", "check", "n", "center")
+
+    def __new__(cls, kind, F, dF, check, n=0, center=ZERO):
+        e, (set_kind, set_F, set_dF, set_check, set_n, set_center) = \
+            _new(cls), cls._setters
+        set_kind(e, kind)
+        set_F(e, F)
+        set_dF(e, dF)
+        set_check(e, check)
+        set_n(e, n)
+        set_center(e, center)
+        return e
 
     @staticmethod
     def exp() -> "Elementary":

@@ -1,0 +1,21 @@
+"""Rewrite the golden CLI outputs of tests/test_golden.py from the current
+code, on Python 3.11 or later (argparse titles its sections "options:").
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Run it only for a change that alters a CLI output on purpose, and name the
+change in CHANGES.md; `git diff tests/golden` shows what moved.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+os.environ["COLUMNS"] = "80"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from test_golden import CASES, GOLDEN, render  # noqa: E402
+
+for name, argv in CASES:
+    (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
+    print(f"wrote {name}.txt")

@@ -693,6 +693,26 @@ def test_subprocess_eval_grad_loads_neither_fd_nor_qlms(flags, unused):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_subprocess_eval_grad_loads_neither_dataclasses_nor_inspect(flags):
+    # the records on the eval-grad path are _Records, not @dataclasses:
+    # dataclasses (which imports inspect, ast, dis and tokenize) loads only
+    # when dataclasses.fields, replace or FrozenInstanceError are used
+    child = (
+        "import sys\n"
+        "import quatgrad.cli\n"
+        "quatgrad.cli.main(['eval-grad', 'power:3:1+0i+0j+0k', '2+1i+0j+0k'])\n"
+        "quatgrad.cli.main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "import dataclasses\n"
+        "print(dataclasses.fields(quatgrad.Quaternion(1.0))[0].name)\n")
+    run = subprocess.run([sys.executable, *flags, "-c", child],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.startswith("domain error:")
+    assert run.stdout.splitlines()[-2:] == ["[]", "a"]
+
+
 def test_subprocess_cli_import_loads_no_fractions():
     # tanh_series rounds int / int directly; fractions (with decimal and
     # numbers) is not imported

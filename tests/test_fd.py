@@ -1,14 +1,17 @@
+import builtins
 import math
 
 import numpy as np
 import pytest
 
 from conftest import qdist, rand_quat, tanh_safe
-from quatgrad import (FDConfig, ONE, QI, QJ, QK, Quaternion, Side, ZERO,
-                      convergence_order, default_step, exp_derivative, exp_q,
-                      gradient_error, hr_gradient_fd, jet_exp, jet_pow,
-                      jet_seed, jet_tanh, real_partials_fd, rel_error, tanh_q)
+from quatgrad import (AxisUnit, FDConfig, ONE, QI, QJ, QK, Quaternion,
+                      RealGradient, Side, ZERO, convergence_order,
+                      default_step, exp_derivative, exp_q, gradient_error,
+                      hr_gradient_fd, jet_exp, jet_pow, jet_seed, jet_tanh,
+                      real_partials_fd, rel_error, tanh_q)
 from quatgrad.fd import least_squares_slope
+from quatgrad.quaternion import left_sum
 
 
 def test_config_validation():
@@ -157,6 +160,32 @@ def test_least_squares_slope_matches_polyfit():
         slope = least_squares_slope(xs.tolist(), ys.tolist())
         expected = np.polyfit(xs, ys, 1)[0]
         assert abs(slope - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_left_sum_is_a_left_fold_where_fsum_differs():
+    xs = [1e16, 1.0, -1e16]
+    total = 0.0
+    for x in xs:
+        total += x
+    assert math.fsum(xs) == 1.0  # and sum() on Python 3.12 and later
+    assert left_sum(xs) == left_sum(iter(xs)) == total == 0.0
+    assert repr(left_sum([-0.0])) == repr(0 + -0.0) == "0.0"
+    assert repr(left_sum([])) == "0.0"
+
+
+def test_fd_sums_floats_without_builtin_sum(monkeypatch):
+    # sum() compensates since Python 3.12; fd's results are a left fold on
+    # every Python
+    g = RealGradient(Quaternion(1e8), QI, QJ, Quaternion(1e-8))
+    xs, ys = [-1.0, -2.0, -3.5], [0.5, 1e16, -1e16]
+    native = gradient_error(g, g.involution(AxisUnit.I)), \
+        least_squares_slope(xs, ys)
+
+    def no_sum(*args):
+        raise AssertionError("fd called sum()")
+    monkeypatch.setattr(builtins, "sum", no_sum)
+    assert (gradient_error(g, g.involution(AxisUnit.I)),
+            least_squares_slope(xs, ys)) == native
 
 
 def test_convergence_order_matches_polyfit():

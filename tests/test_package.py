@@ -40,6 +40,24 @@ def test_no_module_imports_typing_or_pathlib():
     assert found == []
 
 
+def test_eval_grad_modules_import_dataclasses_only_where_used():
+    # quaternion, hr and regular define _Records; dataclasses loads only
+    # inside the methods that need it, so a top-level import would undo that
+    found = []
+    for name in ("quaternion", "hr", "regular"):
+        path = Path(quatgrad.__file__).parent / f"{name}.py"
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} {module}" for module in names
+                      if module == "dataclasses"]
+    assert found == []
+
+
 # -- the public surface in a fresh process ------------------------------------
 # fd and qlms are imported on first use, so these checks need a process in
 # which nothing has touched them yet
