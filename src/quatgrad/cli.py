@@ -6,12 +6,12 @@ stdout included), 2 domain error (including results beyond the float
 range), 3 validation-suite failure, 4 divergent QLMS run.
 """
 
-import argparse
 import os
 import re
 import sys
 import warnings
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import NonFiniteComponent
 from .hr import Side, hr_from_real
@@ -39,32 +39,74 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse reports usage problems with exit code 1 (parse failure)."""
+# a token that starts with "-" is a negative number, not a flag, where this
+# matches it ("-1+0i+0j+0k", "-.5+0i+0j+0k"); the eval-grad parsers share it
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
-    def _print_message(self, message, file=None):
-        # argparse drops an OSError of the write; one on stdout (--help into
-        # a closed pipe, unbuffered) goes on to main, which reports it
-        if message and file is not None and file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+def _plain_eval_grad(argv):
+    """The namespace argparse gives a plain eval-grad line, or None.
+
+    Plain is `eval-grad`, then the function and the point, with at most one
+    `--side left|right` outside `--` and at most one `--`, right before the
+    point.  Outside `--`, a token that starts with "-" must be a negative
+    number.  Any other line (help, an abbreviated or `=` flag, a missing or
+    extra argument) goes to argparse, which also prints the usage errors;
+    an eval-grad process that is answered here never loads argparse.
+    """
+    if not argv or argv[0] != "eval-grad" or argv.count("--") > 1:
+        return None
+    args, point = list(argv[1:]), []
+    if "--" in args:
+        at = args.index("--")
+        args, point = args[:at], args[at + 1:]
+        if len(point) != 1:
+            return None
+    side = "left"
+    if "--side" in args:
+        at = args.index("--side")
+        side = args[at + 1] if at + 1 < len(args) else None
+        if side not in ("left", "right"):
+            return None
+        del args[at:at + 2]
+    if any(arg.startswith("-") and not _NEGATIVE_NUMBER.match(arg)
+           for arg in args) or len(args + point) != 2:
+        return None
+    function, point = args + point
+    return SimpleNamespace(command="eval-grad", function=function,
+                           point=point, side=side)
 
 
 def _seed(text: str) -> int:
     """An int >= 0, the seeds numpy's generators accept."""
     seed = int(text)
     if seed < 0:
-        raise argparse.ArgumentTypeError(
+        from argparse import ArgumentTypeError  # argparse is calling this
+        raise ArgumentTypeError(
             f"seed must be an integer >= 0, got {text!r}")
     return seed
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser of every command: it prints --help and the usage
+    errors, and parses the lines _plain_eval_grad leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage problems exit with code 1 (parse failure)."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+        def _print_message(self, message, file=None):
+            # argparse drops an OSError of the write; main reports one on
+            # stdout (--help into a closed pipe, unbuffered)
+            if message and file is not None and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
     parser = _Parser(
         prog="quatgrad",
         description="Quaternion HR-gradient calculator and QLMS runner.")
@@ -79,7 +121,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--side", choices=("left", "right"), default="left")
     # let points with a negative real part ("-1+0i+0j+0k") parse as
     # positionals instead of being mistaken for option flags
-    p_eval._negative_number_matcher = re.compile(r"^-\d")
+    p_eval._negative_number_matcher = _NEGATIVE_NUMBER
 
     p_val = sub.add_parser("validate", help="run the self-check suites")
     p_val.add_argument("suite", nargs="?", default="all",
@@ -250,10 +292,11 @@ def _cmd_qlms_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _plain_eval_grad(argv) or _build_parser().parse_args(argv)
             code = {"eval-grad": _cmd_eval_grad, "validate": _cmd_validate,
                     "qlms-run": _cmd_qlms_run}[args.command](args)
         except SystemExit as exc:  # argparse: usage errors and --help

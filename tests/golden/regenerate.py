@@ -9,13 +9,20 @@ change in CHANGES.md; `git diff tests/golden` shows what moved.
 
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 os.environ["COLUMNS"] = "80"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import CASES, GOLDEN, render  # noqa: E402
+from test_golden import (CASES, GOLDEN, QLMS_RUN, render,  # noqa: E402
+                         render_child)
 
 for name, argv in CASES:
     (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
     print(f"wrote {name}.txt")
+name, argv = QLMS_RUN
+with tempfile.TemporaryDirectory() as directory:
+    text = render_child(argv, directory)
+(GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
+print(f"wrote {name}.txt")

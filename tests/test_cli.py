@@ -17,10 +17,14 @@ from hypothesis import strategies as st
 
 from conftest import qdist
 import quatgrad
+from quatgrad import cli
 from quatgrad import (Quaternion, StabilityWarning, ln_derivative,
                       read_record_csv, run_system_identification)
 from quatgrad.cli import (EXIT_DIVERGED, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE,
                           EXIT_VALIDATION, load_experiment_config, main)
+
+
+_PARSER = cli._build_parser()
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +208,49 @@ def test_eval_grad_non_integer_exponent_names_the_power_argument(capsys):
     assert run_cli(capsys, "eval-grad", "power:2.5", "1+0i+0j+0k") == (
         EXIT_PARSE, "", "parse error: bad power argument 'power:2.5': the "
         "exponent '2.5' is not an integer\n")
+
+
+# the words of plain eval-grad lines, and words that argparse reads in
+# other ways: an abbreviation, an "=" form, help, flags, a bare "-"
+_ARGV_TOKENS = st.sampled_from([
+    "eval-grad", "--side", "--si", "--side=left", "left", "right", "up",
+    "--", "-h", "exp", "ln", "power:3:1+0i+0j+0k", "1+0i+0j+0k",
+    "-1+2i+0j+0k", "-.5+0i+0j+0k", "-x", "-", ""])
+
+
+@st.composite
+def _eval_grad_lines(draw):
+    """eval-grad and two words, maybe a "--" before the second and a
+    "--side" and a word anywhere: lines that are plain or nearly so."""
+    words = draw(st.lists(_ARGV_TOKENS, min_size=2, max_size=2))
+    if draw(st.booleans()):
+        words.insert(1, "--")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = ["--side", draw(st.sampled_from(["left", "right"])
+                                       | _ARGV_TOKENS)]
+    return ["eval-grad"] + words
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_eval_grad_lines() | st.lists(_ARGV_TOKENS, max_size=7))
+@example(["eval-grad", "--side", "right", "exp", "--", "-1+2i+0j+0k"])
+@example(["eval-grad", "exp", "--", "--"])  # argparse: point == []
+def test_plain_eval_grad_parses_as_argparse_does(argv):
+    # where the plain parser answers, argparse (the reference, which parses
+    # every other line) gives the same namespace
+    plain = cli._plain_eval_grad(argv)
+    if plain is not None:
+        assert vars(plain) == vars(_PARSER.parse_args(argv)), argv
+
+
+def test_plain_eval_grad_leaves_help_and_usage_errors_to_argparse():
+    for argv in (["eval-grad", "--help"], ["eval-grad", "exp"],
+                 ["eval-grad", "exp", "1+0i+0j+0k", "extra"],
+                 ["eval-grad", "exp", "1+0i+0j+0k", "--side=right"],
+                 ["eval-grad", "exp", "1+0i+0j+0k", "--si", "right"],
+                 ["eval-grad", "exp", "-x"], ["validate"], []):
+        assert cli._plain_eval_grad(argv) is None, argv
 
 
 def test_unknown_flag_is_parse_error(capsys):
@@ -711,6 +758,32 @@ def test_subprocess_eval_grad_loads_neither_dataclasses_nor_inspect(flags):
     assert run.returncode == 0, run.stderr
     assert run.stderr.startswith("domain error:")
     assert run.stdout.splitlines()[-2:] == ["[]", "a"]
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_subprocess_eval_grad_loads_no_argparse(flags):
+    # cli._plain_eval_grad parses eval-grad's lines: argparse, and the
+    # gettext and locale it imports, load for --help and usage errors only
+    child = (
+        "import sys\n"
+        "import quatgrad.cli\n"
+        "modules = {'argparse', 'gettext', 'locale'}\n"
+        "quatgrad.cli.main(['eval-grad', '--side', 'right', 'exp', '--',\n"
+        "                   '-.5+1i+0j+0k'])\n"
+        "quatgrad.cli.main(['eval-grad', 'exp', '1+2i+3j'])\n"
+        "quatgrad.cli.main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
+        "print(sorted(modules & set(sys.modules)))\n"
+        "print(quatgrad.cli.main(['eval-grad', '--help']))\n"
+        "print(sorted(modules & set(sys.modules)))\n")
+    run = subprocess.run([sys.executable, *flags, "-c", child],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == 0, run.stderr
+    out = run.stdout.splitlines()
+    assert out[0] == "side: right" and out[5] == "[]"
+    assert out[6].startswith("usage: quatgrad eval-grad")
+    assert out[-2:] == ["0", "['argparse', 'gettext', 'locale']"]
+    assert [line.split(":")[0] for line in run.stderr.splitlines()] == [
+        "parse error", "domain error"]
 
 
 def test_subprocess_cli_import_loads_no_fractions():

@@ -1,25 +1,34 @@
 """Golden CLI outputs, compared byte for byte.
 
 Each case is one `quatgrad` command line: the README and CI `eval-grad`
-examples, answered and rejected, and the four `--help` texts.  Its golden
-file under tests/golden/ holds the command, the exit code, stdout and
-stderr; tests/golden/regenerate.py rewrites them from the current code, for
-a change that alters an output on purpose.
+examples, answered and rejected, the four `--help` texts, three usage
+errors, `validate` at its default seed and the README `qlms-run`.  Its
+golden file under tests/golden/ holds the command, the exit code, stdout
+and stderr (and for `qlms-run` the md5 of the CSV it writes);
+tests/golden/regenerate.py rewrites them from the current code, for a
+change that alters an output on purpose.
 """
 
 import contextlib
+import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quatgrad
 from quatgrad.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # (file name, argv): every eval-grad line of README.md and the CI workflow,
-# three rejections (exit 2 twice, exit 1 once) and each --help
+# three rejections (exit 2 twice, exit 1 once), points that start with "-."
+# and "-0." with and without "--", each --help, three usage errors
+# (argparse's "invalid choice" texts are left out: their quoting differs
+# between Python versions) and validate's every suite
 CASES = [
     ("eval_grad_power2", ["eval-grad", "power:2", "1+2i+3j+4k"]),
     ("eval_grad_exp_right", ["eval-grad", "exp", "0.3+0.4i+0j+0k",
@@ -31,11 +40,29 @@ CASES = [
     ("eval_grad_ln_branch_point", ["eval-grad", "ln", "--", "-1+0i+0j+0k"]),
     ("eval_grad_exp_overflow", ["eval-grad", "exp", "1000+0i+0j+0k"]),
     ("eval_grad_bad_power", ["eval-grad", "power:2.5", "1+0i+0j+0k"]),
+    ("eval_grad_exp_minus_point_five", ["eval-grad", "exp", "-.5+0i+0j+0k"]),
+    ("eval_grad_exp_minus_point_five_dashes", ["eval-grad", "exp", "--",
+                                               "-.5+0i+0j+0k"]),
+    ("eval_grad_exp_minus_zero_point_five", ["eval-grad", "exp",
+                                             "-0.5+0i+0j+0k"]),
+    ("eval_grad_exp_minus_zero_point_five_dashes", ["eval-grad", "exp", "--",
+                                                    "-0.5+0i+0j+0k"]),
     ("help", ["--help"]),
     ("help_eval_grad", ["eval-grad", "--help"]),
     ("help_validate", ["validate", "--help"]),
     ("help_qlms_run", ["qlms-run", "--help"]),
+    ("usage_validate_negative_seed", ["validate", "--seed", "-1"]),
+    ("usage_eval_grad_missing_point", ["eval-grad", "exp"]),
+    ("usage_eval_grad_extra_argument", ["eval-grad", "exp", "1+0i+0j+0k",
+                                        "extra"]),
+    ("validate", ["validate"]),
 ]
+
+# README's qlms-run, run in a child process from the directory that holds
+# its config: the StabilityWarning line is then the one a shell shows
+QLMS_RUN = ("qlms_run", ["qlms-run", "run.cfg", "out.csv"])
+README_CONFIG = ("M=4\nmu=0.05\niterations=2000\nnoise_power=0.0\nseed=123\n"
+                 "true_weights=1+0i+0j+0k;0+1i+0j+0k;0+0i+1j+0k;0+0i+0j+1k\n")
 
 
 def render(argv) -> str:
@@ -46,6 +73,23 @@ def render(argv) -> str:
         code = main(list(argv))
     return (f"$ quatgrad {' '.join(argv)}\nexit {code}\n"
             f"-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}")
+
+
+def render_child(argv, directory) -> str:
+    """render() of `python -m quatgrad` in `directory`, run with README's
+    config as run.cfg, plus the md5 of the out.csv it writes."""
+    directory = Path(directory)
+    (directory / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+    src = str(Path(quatgrad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "quatgrad", *argv],
+                         cwd=directory, env=env, capture_output=True,
+                         text=True)
+    md5 = hashlib.md5((directory / "out.csv").read_bytes()).hexdigest()
+    return (f"$ quatgrad {' '.join(argv)}\nexit {run.returncode}\n"
+            f"-- stdout\n{run.stdout}-- stderr\n{run.stderr}"
+            f"-- md5 out.csv\n{md5}\n")
 
 
 def expected(name: str) -> str:
@@ -61,7 +105,12 @@ def test_cli_output_matches_its_golden(name, argv, monkeypatch):
     assert render(argv) == expected(name)
 
 
+def test_readme_qlms_run_matches_its_golden(tmp_path):
+    name, argv = QLMS_RUN
+    assert render_child(argv, tmp_path) == expected(name)
+
+
 def test_every_golden_file_has_a_case():
     names = {path.stem for path in GOLDEN.glob("*.txt")}
-    assert names == {name for name, _ in CASES}
+    assert names == {name for name, _ in CASES + [QLMS_RUN]}
     assert (GOLDEN / "regenerate.py").is_file()
