@@ -43,16 +43,19 @@ def __getattr__(name):
 # matches it ("-1+0i+0j+0k", "-.5+0i+0j+0k"); the eval-grad parsers share it
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
+# eval-grad's --side words, the default first: both parsers read them
+_SIDES = tuple(side.value for side in Side)
+
 
 def _plain_eval_grad(argv):
     """The namespace argparse gives a plain eval-grad line, or None.
 
     Plain is `eval-grad`, then the function and the point, with at most one
-    `--side left|right` outside `--` and at most one `--`, right before the
-    point.  Outside `--`, a token that starts with "-" must be a negative
-    number.  Any other line (help, an abbreviated or `=` flag, a missing or
-    extra argument) goes to argparse, which also prints the usage errors;
-    an eval-grad process that is answered here never loads argparse.
+    `--side` and one of _SIDES outside `--` and at most one `--`, right
+    before the point.  Outside `--`, a token that starts with "-" must be a
+    negative number.  Any other line (help, an abbreviated or `=` flag, a
+    missing or extra argument) goes to argparse, which also prints the usage
+    errors; an eval-grad process that is answered here never loads argparse.
     """
     if not argv or argv[0] != "eval-grad" or argv.count("--") > 1:
         return None
@@ -62,11 +65,11 @@ def _plain_eval_grad(argv):
         args, point = args[:at], args[at + 1:]
         if len(point) != 1:
             return None
-    side = "left"
+    side = _SIDES[0]
     if "--side" in args:
         at = args.index("--side")
         side = args[at + 1] if at + 1 < len(args) else None
-        if side not in ("left", "right"):
+        if side not in _SIDES:
             return None
         del args[at:at + 2]
     if any(arg.startswith("-") and not _NEGATIVE_NUMBER.match(arg)
@@ -107,6 +110,14 @@ def _build_parser():
             else:
                 super()._print_message(message, file)
 
+        def parse_known_args(self, args=None, namespace=None):
+            # "--" after the first, or as an option's value, is a usage
+            # error, not a word (3.12, 3.13) or [] (3.10, 3.11); help first
+            parsed, extras = super().parse_known_args(args, namespace)
+            if [] in vars(parsed).values() or (args or []).count("--") > 1:
+                self.error("'--' may be given only once, and not as a value")
+            return parsed, extras
+
     parser = _Parser(
         prog="quatgrad",
         description="Quaternion HR-gradient calculator and QLMS runner.")
@@ -118,7 +129,7 @@ def _build_parser():
     p_eval.add_argument("function",
                         help=" | ".join(_FUNCTIONS) + ":<n>[:<center>]")
     p_eval.add_argument("point", help="quaternion a+bi+cj+dk")
-    p_eval.add_argument("--side", choices=("left", "right"), default="left")
+    p_eval.add_argument("--side", choices=_SIDES, default=_SIDES[0])
     # let points with a negative real part ("-1+0i+0j+0k") parse as
     # positionals instead of being mistaken for option flags
     p_eval._negative_number_matcher = _NEGATIVE_NUMBER

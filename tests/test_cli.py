@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import math
 import os
 import re
@@ -210,10 +211,13 @@ def test_eval_grad_non_integer_exponent_names_the_power_argument(capsys):
         "exponent '2.5' is not an integer\n")
 
 
+# eval-grad's flag and its words, as cli gives them
+_FLAG_WORDS = ["--side", *cli._SIDES]
+
 # the words of plain eval-grad lines, and words that argparse reads in
 # other ways: an abbreviation, an "=" form, help, flags, a bare "-"
 _ARGV_TOKENS = st.sampled_from([
-    "eval-grad", "--side", "--si", "--side=left", "left", "right", "up",
+    "eval-grad", *_FLAG_WORDS, "--si", "--side=left", "up",
     "--", "-h", "exp", "ln", "power:3:1+0i+0j+0k", "1+0i+0j+0k",
     "-1+2i+0j+0k", "-.5+0i+0j+0k", "-x", "-", ""])
 
@@ -227,7 +231,7 @@ def _eval_grad_lines(draw):
         words.insert(1, "--")
     if draw(st.booleans()):
         at = draw(st.integers(0, len(words)))
-        words[at:at] = ["--side", draw(st.sampled_from(["left", "right"])
+        words[at:at] = ["--side", draw(st.sampled_from(cli._SIDES)
                                        | _ARGV_TOKENS)]
     return ["eval-grad"] + words
 
@@ -251,6 +255,131 @@ def test_plain_eval_grad_leaves_help_and_usage_errors_to_argparse():
                  ["eval-grad", "exp", "1+0i+0j+0k", "--si", "right"],
                  ["eval-grad", "exp", "-x"], ["validate"], []):
         assert cli._plain_eval_grad(argv) is None, argv
+
+
+# -- every short command line -------------------------------------------------
+
+def _outcome(argv):
+    """main's exit code, stdout and stderr for argv, in process; an
+    exception that escapes main is the code, as its repr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except Exception as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _short_lines(command, vocabulary):
+    """`command` followed by every sequence of 0 to 3 vocabulary words."""
+    for n in range(4):
+        for words in itertools.product(vocabulary, repeat=n):
+            yield [command, *words]
+
+
+def _usage_error(command):
+    """argparse's usage of `command` or of quatgrad (which reports words
+    left over), maybe wrapped, and the error line of the same parser."""
+    return re.compile(rf"usage: (quatgrad(?: {command})?) [^\n]*\n"
+                      rf"(?: +[^\n]*\n)*\1: error: [^\n]*\n")
+
+
+# the functions, points (one beyond the float range), --side and its
+# words and the words argparse reads in other ways
+_EVAL_GRAD_WORDS = [
+    "exp", "power:-1", "ln", "1+2i+3j+4k", "-1+0i+0j+0k", "-.5+0i+0j+0k",
+    "1e400+0i+0j+0k", *_FLAG_WORDS, "--", "-", "", "-h", "--si"]
+
+
+def test_every_short_eval_grad_line_ends_in_a_typed_outcome():
+    # exhaustive up to 3 words (3,616 lines): a line is answered (the
+    # gradient block or --help), or is one typed error on stderr, and where
+    # the plain parser answers, argparse gives the same namespace
+    gradient = re.compile(r"side: (?:%s)\n(?:d[1IJK]: \S+\n){4}"
+                          % "|".join(cli._SIDES))
+    usage_error = _usage_error("eval-grad")
+    help_text = _outcome(["eval-grad", "--help"])[1]
+    faults = []
+    for argv in _short_lines("eval-grad", _EVAL_GRAD_WORDS):
+        code, out, err = _outcome(argv)
+        if code == EXIT_OK:
+            typed = err == "" and (gradient.fullmatch(out) or out == help_text)
+        else:
+            typed = out == "" and (
+                code == EXIT_PARSE and (usage_error.fullmatch(err) or
+                                        re.fullmatch(r"parse error: .*\n", err))
+                or code == EXIT_DOMAIN
+                and re.fullmatch(r"domain error: .*\n", err))
+        plain = cli._plain_eval_grad(argv)
+        if not typed or plain is not None and (
+                vars(plain) != vars(_PARSER.parse_args(argv))):
+            faults.append((argv, code, out, err))
+    assert faults == []
+
+
+def test_every_short_validate_line_ends_in_a_typed_outcome():
+    # argument handling only: run_suites is patched, no suite runs
+    usage_error = _usage_error("validate")
+    help_text = _outcome(["validate", "--help"])[1]
+    faults = []
+    with mock.patch("quatgrad.validate.run_suites", return_value=[]):
+        for argv in _short_lines("validate", [
+                "all", "algebra", "nonsense", "--seed", "7", "-1", "--se",
+                "--", "-", "", "-h"]):
+            code, out, err = _outcome(argv)
+            if not (code == EXIT_OK and err == ""
+                    and out in ("overall: PASS\n", help_text)
+                    or code == EXIT_PARSE and out == ""
+                    and usage_error.fullmatch(err)):
+                faults.append((argv, code, out, err))
+    assert faults == []
+
+
+def test_every_short_qlms_run_line_ends_in_a_typed_outcome(tmp_path,
+                                                           monkeypatch):
+    # no config of these runs: it is missing, a directory, not UTF-8 or
+    # malformed, so no experiment starts and no output file is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfeM=4\n")
+    (tmp_path / "bad.cfg").write_text("M=4 mu=0.05\n")
+    usage_error = _usage_error("qlms-run")
+    help_text = _outcome(["qlms-run", "--help"])[1]
+    faults = []
+    for argv in _short_lines("qlms-run", [
+            "missing.cfg", "dir", "bytes.cfg", "bad.cfg", "out.csv", "--",
+            "-", "", "-h", "--x"]):
+        code, out, err = _outcome(argv)
+        if not (code == EXIT_OK and (out, err) == (help_text, "")
+                or code == EXIT_PARSE and out == "" and (
+                    usage_error.fullmatch(err)
+                    or re.fullmatch(r"config error: .*\n", err))):
+            faults.append((argv, code, out, err))
+    assert faults == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "bad.cfg", "bytes.cfg", "dir"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-grad", "exp", "--", "--"], ["eval-grad", "--", "exp", "--"],
+    ["eval-grad", "--", "exp", "--", "1+0i+0j+0k"],
+    ["eval-grad", "exp", "1+0i+0j+0k", "--side=--"],
+    ["validate", "algebra", "--seed=--"],
+    ["qlms-run", "run.cfg", "--", "--"], ["qlms-run", "--", "run.cfg", "--"]])
+def test_double_dash_as_a_word_is_a_usage_error(tmp_path, monkeypatch, argv):
+    # a second "--", or "--" as an option's value, is the command's usage
+    # error on every Python, whatever argparse makes of the words; no suite
+    # runs, and qlms-run's config is good but the line neither runs nor
+    # writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(GOOD_CONFIG)
+    with mock.patch("quatgrad.validate.run_suites", return_value=[]):
+        code, out, err = _outcome(argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert _usage_error(argv[0]).fullmatch(err), err
+    assert err.startswith(f"usage: quatgrad {argv[0]} ")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_unknown_flag_is_parse_error(capsys):

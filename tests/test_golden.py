@@ -1,8 +1,9 @@
 """Golden CLI outputs, compared byte for byte.
 
 Each case is one `quatgrad` command line: the README and CI `eval-grad`
-examples, answered and rejected, the four `--help` texts, three usage
-errors, `validate` at its default seed and the README `qlms-run`.  Its
+examples, answered and rejected, the four `--help` texts, four usage
+errors, `validate` at its default seed and at seed 7 (that one also in a
+child process with warnings as errors) and the README `qlms-run`.  Its
 golden file under tests/golden/ holds the command, the exit code, stdout
 and stderr (and for `qlms-run` the md5 of the CSV it writes);
 tests/golden/regenerate.py rewrites them from the current code, for a
@@ -26,9 +27,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # (file name, argv): every eval-grad line of README.md and the CI workflow,
 # three rejections (exit 2 twice, exit 1 once), points that start with "-."
-# and "-0." with and without "--", each --help, three usage errors
+# and "-0." with and without "--", each --help, four usage errors
 # (argparse's "invalid choice" texts are left out: their quoting differs
-# between Python versions) and validate's every suite
+# between Python versions; a second "--" is quatgrad's own) and validate's
+# every suite at two seeds
 CASES = [
     ("eval_grad_power2", ["eval-grad", "power:2", "1+2i+3j+4k"]),
     ("eval_grad_exp_right", ["eval-grad", "exp", "0.3+0.4i+0j+0k",
@@ -55,7 +57,9 @@ CASES = [
     ("usage_eval_grad_missing_point", ["eval-grad", "exp"]),
     ("usage_eval_grad_extra_argument", ["eval-grad", "exp", "1+0i+0j+0k",
                                         "extra"]),
+    ("usage_eval_grad_second_double_dash", ["eval-grad", "exp", "--", "--"]),
     ("validate", ["validate"]),
+    ("validate_seed_7", ["validate", "--seed", "7"]),
 ]
 
 # README's qlms-run, run in a child process from the directory that holds
@@ -75,21 +79,26 @@ def render(argv) -> str:
             f"-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}")
 
 
-def render_child(argv, directory) -> str:
-    """render() of `python -m quatgrad` in `directory`, run with README's
-    config as run.cfg, plus the md5 of the out.csv it writes."""
-    directory = Path(directory)
-    (directory / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+def run_child(argv, directory, flags=()) -> str:
+    """render() of `python <flags> -m quatgrad` in `directory`."""
     src = str(Path(quatgrad.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-m", "quatgrad", *argv],
+    run = subprocess.run([sys.executable, *flags, "-m", "quatgrad", *argv],
                          cwd=directory, env=env, capture_output=True,
                          text=True)
-    md5 = hashlib.md5((directory / "out.csv").read_bytes()).hexdigest()
     return (f"$ quatgrad {' '.join(argv)}\nexit {run.returncode}\n"
-            f"-- stdout\n{run.stdout}-- stderr\n{run.stderr}"
-            f"-- md5 out.csv\n{md5}\n")
+            f"-- stdout\n{run.stdout}-- stderr\n{run.stderr}")
+
+
+def render_child(argv, directory) -> str:
+    """run_child() with README's config as run.cfg, plus the md5 of the
+    out.csv it writes."""
+    directory = Path(directory)
+    (directory / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+    text = run_child(argv, directory)
+    md5 = hashlib.md5((directory / "out.csv").read_bytes()).hexdigest()
+    return f"{text}-- md5 out.csv\n{md5}\n"
 
 
 def expected(name: str) -> str:
@@ -108,6 +117,14 @@ def test_cli_output_matches_its_golden(name, argv, monkeypatch):
 def test_readme_qlms_run_matches_its_golden(tmp_path):
     name, argv = QLMS_RUN
     assert render_child(argv, tmp_path) == expected(name)
+
+
+def test_validate_with_warnings_as_errors_matches_its_golden(tmp_path):
+    # CI's second self-check, `python -W error -m quatgrad validate --seed
+    # 7`: no warning is raised, and stdout is the in-process golden's
+    argv = ["validate", "--seed", "7"]
+    assert run_child(argv, tmp_path, ("-W", "error")) == \
+        expected("validate_seed_7")
 
 
 def test_every_golden_file_has_a_case():
