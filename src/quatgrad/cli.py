@@ -82,7 +82,10 @@ def _plain_eval_grad(argv):
 
 def _seed(text: str) -> int:
     """An int >= 0, the seeds numpy's generators accept."""
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:  # argparse would name this function in its message
+        seed = -1
     if seed < 0:
         from argparse import ArgumentTypeError  # argparse is calling this
         raise ArgumentTypeError(

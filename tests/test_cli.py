@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import math
@@ -459,6 +460,13 @@ def test_validate_failure_exits_3(capsys, monkeypatch):
 def test_cli_suite_names_match_validate():
     from quatgrad import cli, validate
     assert cli.SUITE_NAMES == validate.SUITE_NAMES
+
+
+def test_cli_default_seed_matches_validate():
+    # written twice: cli does not import validate, which loads numpy
+    from quatgrad import validate
+    default = inspect.signature(validate.run_suites).parameters["seed"]
+    assert _PARSER.parse_args(["validate"]).seed == default.default
 
 
 @pytest.mark.parametrize("seed", ["-1", "-20240601"])
@@ -978,6 +986,22 @@ def test_subprocess_qlms_run_warning_as_error_keeps_existing_output(tmp_path):
     assert run.returncode == EXIT_PARSE, run.stderr
     assert run.stderr.startswith("config error: step size 0.05 exceeds ")
     assert out.read_bytes() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_subprocess_qlms_run_into_a_full_device_is_output_error(tmp_path):
+    # the path check opens /dev/full; the CSV's write fails with ENOSPC
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
+                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    run = subprocess.run([sys.executable, "-m", "quatgrad", "qlms-run",
+                          str(cfg), "/dev/full"],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert (run.returncode, run.stdout) == (EXIT_PARSE, ""), run.stderr
+    assert "Traceback" not in run.stderr
+    warning, error = run.stderr.splitlines()
+    assert warning.startswith("warning: step size")
+    assert error.startswith("output error: [Errno 28] ")
 
 
 def test_subprocess_validate_and_qlms(tmp_path):

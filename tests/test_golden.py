@@ -1,11 +1,12 @@
 """Golden CLI outputs, compared byte for byte.
 
-Each case is one `quatgrad` command line: the README and CI `eval-grad`
-examples, answered and rejected, the four `--help` texts, four usage
-errors, `validate` at its default seed and at seed 7 (that one also in a
-child process with warnings as errors) and the README `qlms-run`.  Its
-golden file under tests/golden/ holds the command, the exit code, stdout
-and stderr (and for `qlms-run` the md5 of the CSV it writes);
+Each case is one `quatgrad` command line: the README `eval-grad`
+examples and more, answered and rejected, the four `--help` texts, five
+usage errors, `validate` at its default seed and at seed 7 (that one also
+in a child process with warnings as errors) and the README `qlms-run`
+(also with numpy's RuntimeWarnings as errors).  Its golden file under
+tests/golden/ holds the command, the exit code, stdout and stderr (and for
+`qlms-run` the md5 of the CSV it writes);
 tests/golden/regenerate.py rewrites them from the current code, for a
 change that alters an output on purpose.
 """
@@ -25,9 +26,9 @@ from quatgrad.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (file name, argv): every eval-grad line of README.md and the CI workflow,
+# (file name, argv): every eval-grad line of README.md, a point after "--",
 # three rejections (exit 2 twice, exit 1 once), points that start with "-."
-# and "-0." with and without "--", each --help, four usage errors
+# and "-0." with and without "--", each --help, five usage errors
 # (argparse's "invalid choice" texts are left out: their quoting differs
 # between Python versions; a second "--" is quatgrad's own) and validate's
 # every suite at two seeds
@@ -54,6 +55,7 @@ CASES = [
     ("help_validate", ["validate", "--help"]),
     ("help_qlms_run", ["qlms-run", "--help"]),
     ("usage_validate_negative_seed", ["validate", "--seed", "-1"]),
+    ("usage_validate_non_integer_seed", ["validate", "--seed", "abc"]),
     ("usage_eval_grad_missing_point", ["eval-grad", "exp"]),
     ("usage_eval_grad_extra_argument", ["eval-grad", "exp", "1+0i+0j+0k",
                                         "extra"]),
@@ -91,12 +93,12 @@ def run_child(argv, directory, flags=()) -> str:
             f"-- stdout\n{run.stdout}-- stderr\n{run.stderr}")
 
 
-def render_child(argv, directory) -> str:
+def render_child(argv, directory, flags=()) -> str:
     """run_child() with README's config as run.cfg, plus the md5 of the
     out.csv it writes."""
     directory = Path(directory)
     (directory / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
-    text = run_child(argv, directory)
+    text = run_child(argv, directory, flags)
     md5 = hashlib.md5((directory / "out.csv").read_bytes()).hexdigest()
     return f"{text}-- md5 out.csv\n{md5}\n"
 
@@ -119,9 +121,18 @@ def test_readme_qlms_run_matches_its_golden(tmp_path):
     assert render_child(argv, tmp_path) == expected(name)
 
 
+def test_readme_qlms_run_with_runtime_warnings_as_errors_matches_its_golden(
+        tmp_path):
+    # numpy raises no RuntimeWarning in the block pass or the loop, and the
+    # StabilityWarning is a UserWarning: the same output and the same CSV
+    name, argv = QLMS_RUN
+    assert render_child(argv, tmp_path, ("-W", "error::RuntimeWarning")) == \
+        expected(name)
+
+
 def test_validate_with_warnings_as_errors_matches_its_golden(tmp_path):
-    # CI's second self-check, `python -W error -m quatgrad validate --seed
-    # 7`: no warning is raised, and stdout is the in-process golden's
+    # `python -W error -m quatgrad validate --seed 7`: no warning is
+    # raised, and stdout is the in-process golden's
     argv = ["validate", "--seed", "7"]
     assert run_child(argv, tmp_path, ("-W", "error")) == \
         expected("validate_seed_7")

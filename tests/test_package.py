@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,3 +162,13 @@ def test_patched_write_record_csv_reaches_qlms_run(tmp_path):
         "print(code, paths)\n")
     assert stdout.splitlines()[-1] == f"0 [{str(out)!r}]"
     assert out.read_bytes() == b""  # created empty by the path check only
+
+
+def test_readme_python_blocks_run():
+    # each ```python block of README.md, on its own, as a reader runs it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.S | re.M)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
