@@ -10,7 +10,6 @@ import os
 import re
 import sys
 import warnings
-from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import NonFiniteComponent
@@ -30,14 +29,6 @@ SUITE_NAMES = ("algebra", "rules", "series", "consistency", "fd")
 
 # eval-grad's functions, each an Elementary; power is power:<n>[:<center>]
 _FUNCTIONS = ("exp", "ln", "tanh", "power")
-
-
-def __getattr__(name):
-    """quatgrad.cli.validate, imported on first access (PEP 562)."""
-    if name == "validate":
-        return import_module(".validate", __package__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 # a token that starts with "-" is a negative number, not a flag, where this
 # matches it ("-1+0i+0j+0k", "-.5+0i+0j+0k"); the eval-grad parsers share it

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import inspect
 import io
 import itertools
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import qdist
+from conftest import (CHILD_ENV, CHILD_TIMEOUT, README_CONFIG, qdist,
+                      run_child)
 import quatgrad
 from quatgrad import cli
 from quatgrad import (Quaternion, StabilityWarning, ln_derivative,
@@ -451,7 +454,7 @@ def test_validate_failure_exits_3(capsys, monkeypatch):
         return [SuiteReport("algebra",
                             [CheckResult("forced failure", 0, 1, 42.0)])]
 
-    monkeypatch.setattr("quatgrad.cli.validate.run_suites", fake_run_suites)
+    monkeypatch.setattr("quatgrad.validate.run_suites", fake_run_suites)
     code, out, _ = run_cli(capsys, "validate", "algebra")
     assert code == EXIT_VALIDATION
     assert "overall: FAIL" in out
@@ -493,13 +496,8 @@ def test_validate_seed_argument_never_raises(seed):
 
 # -- qlms-run ------------------------------------------------------------------
 
-GOOD_CONFIG = """\
-M=4
-mu=0.05
-iterations=2000
-noise_power=0.0
-seed=123
-"""
+# README's config without its true weights, which the run then draws
+GOOD_CONFIG = README_CONFIG[:README_CONFIG.index("true_weights=")]
 
 
 def test_qlms_run_converges(tmp_path, capsys, recwarn):
@@ -548,8 +546,7 @@ def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, capsys,
                                                       recwarn):
     # the README config: its final error norm is about 1.75e-16
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
-                        "0+0i+1j+0k;0+0i+0j+1k\n")
+    cfg_path.write_text(README_CONFIG)
     code, out, _ = run_cli(capsys, "qlms-run", str(cfg_path),
                            str(tmp_path / "out.csv"))
     assert code == EXIT_OK
@@ -819,132 +816,131 @@ def test_qlms_run_exit_0_writes_only_finite_values(m, mu, iterations,
 
 # -- real process end to end -----------------------------------------------------
 
-# child processes import quatgrad from the same tree as this test session
-_SRC = str(Path(quatgrad.__file__).resolve().parents[1])
-_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
-
-
 def test_subprocess_eval_grad_exit_codes():
-    base = [sys.executable, "-m", "quatgrad"]
-    ok = subprocess.run(base + ["eval-grad", "exp", "0+0i+0j+0k"],
-                        capture_output=True, text=True, env=_CHILD_ENV)
+    ok = run_child("-m", "quatgrad", "eval-grad", "exp", "0+0i+0j+0k")
     assert ok.returncode == EXIT_OK
     assert "d1: " in ok.stdout
-    bad_point = subprocess.run(base + ["eval-grad", "exp", "zzz"],
-                               capture_output=True, text=True, env=_CHILD_ENV)
+    bad_point = run_child("-m", "quatgrad", "eval-grad", "exp", "zzz")
     assert bad_point.returncode == EXIT_PARSE
-    domain = subprocess.run(base + ["eval-grad", "ln", "0+0i+0j+0k"],
-                            capture_output=True, text=True, env=_CHILD_ENV)
+    domain = run_child("-m", "quatgrad", "eval-grad", "ln", "0+0i+0j+0k")
     assert domain.returncode == EXIT_DOMAIN
 
 
-def test_subprocess_eval_grad_loads_no_numpy():
-    # numpy is imported only by the code that draws random numbers
+# what `import quatgrad` and eval-grad, answered or rejected, never load, one
+# group per reason; the test named after each group checks it
+# the package imports fd and qlms (and qlms's csv) on first use, and eval-grad
+# uses neither; only qlms-run reads a file
+_FD_AND_QLMS = ("quatgrad.fd", "quatgrad.qlms", "csv")
+# numpy is imported only by the code that draws random numbers
+_NUMPY = ("numpy",)
+# src/ imports neither; site's start-up may import both itself
+_SITE = ("pathlib", "typing")
+# the records on the eval-grad path are _Records, not @dataclasses:
+# dataclasses (which imports inspect, ast, dis and tokenize) loads only when
+# dataclasses.fields, replace or FrozenInstanceError are used
+_DATACLASSES = ("dataclasses", "inspect")
+# cli._plain_eval_grad parses eval-grad's lines: argparse, and the gettext and
+# locale it imports, load for --help and usage errors only
+_ARGPARSE = ("argparse", "gettext", "locale")
+# tanh_series rounds int / int directly; fractions (with decimal and numbers)
+# is not imported
+_FRACTIONS = ("fractions", "decimal", "numbers")
+_NEVER_LOADED = frozenset(_FD_AND_QLMS + _NUMPY + _SITE + _DATACLASSES
+                          + _ARGPARSE + _FRACTIONS)
+
+
+@functools.cache
+def _import_run(flags):
+    """One child per flag set runs every eval-grad line, then names what of
+    _NEVER_LOADED quatgrad loaded (a module site loaded before it is exempt);
+    after that, --help loads argparse, validate's usage error still loads no
+    numpy, and dataclasses.fields still reads a Quaternion."""
     child = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import quatgrad, quatgrad.cli\n"
+        "main = quatgrad.cli.main\n"
+        "main(['eval-grad', '--side', 'right', 'exp', '--', '-.5+1i+0j+0k'])\n"
+        "main(['eval-grad', 'exp', '0.3+0.4i+0j+0k'])\n"
+        "main(['eval-grad', 'power:3:1+0i+0j+0k', '2+1i+0j+0k'])\n"
+        "main(['eval-grad', 'exp', '1+2i+3j'])\n"
+        "main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
+        f"never = {_NEVER_LOADED!r}\n"
+        "exempt = sorted(never & before)\n"
+        "loaded = sorted(never & set(sys.modules) - before)\n"
+        "print(main(['eval-grad', '--help']))\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "main(['validate', 'algebra', '--seed', '-1'])\n"
         "print('numpy' in sys.modules)\n"
-        "quatgrad.cli.main(['eval-grad', 'exp', '0.3+0.4i+0j+0k'])\n"
-        "quatgrad.cli.main(['validate', 'algebra', '--seed', '-1'])\n"
-        "print('numpy' in sys.modules)\n")
-    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                         text=True, env=_CHILD_ENV)
+        "import dataclasses\n"
+        "print(dataclasses.fields(quatgrad.Quaternion(1.0))[0].name)\n"
+        "print(' '.join(exempt))\n"
+        "print(' '.join(loaded))\n")
+    run = run_child("-c", child, flags=flags)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "False")
+    *out, exempt, loaded = run.stdout.splitlines()
+    return types.SimpleNamespace(out=out, err=run.stderr.splitlines(),
+                                 exempt=set(exempt.split()),
+                                 loaded=set(loaded.split()))
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_subprocess_eval_grad_loads_none_of_the_unneeded_modules(flags):
+    run = _import_run(flags)
+    assert run.loaded == set()
+    if "-S" in flags:  # without site nothing is loaded before quatgrad
+        assert run.exempt == set()
+    # three answers of five lines each, the help text, then the checks
+    assert run.out[0:15:5] == ["side: right", "side: left", "side: left"]
+    assert run.out[15].startswith("usage: quatgrad eval-grad")
+    assert run.out[-4:] == ["0", "['argparse', 'gettext', 'locale']", "False",
+                            "a"]
+    assert [line.split(":")[0] for line in run.err[:2]] == [
+        "parse error", "domain error"]
+    assert run.err[2].startswith("usage: quatgrad validate")
+
+
+def test_subprocess_eval_grad_loads_no_numpy():
+    run = _import_run(())
+    assert not run.loaded & set(_NUMPY)
+    assert run.out[-2] == "False"  # after validate's usage error too
 
 
 @pytest.mark.parametrize("flags, unused", [
-    ((), ("quatgrad.fd", "quatgrad.qlms", "csv", "numpy")),
+    ((), _FD_AND_QLMS + _NUMPY),
     # without site, whose start-up may import pathlib and typing itself
-    (("-S",), ("quatgrad.fd", "quatgrad.qlms", "csv", "pathlib", "typing")),
+    (("-S",), _FD_AND_QLMS + _SITE),
 ])
 def test_subprocess_eval_grad_loads_neither_fd_nor_qlms(flags, unused):
-    # the package imports fd and qlms (and qlms's csv) on first use, and
-    # eval-grad, answered or rejected, uses neither; only qlms-run reads a
-    # file
-    child = (
-        "import sys\n"
-        "import quatgrad.cli\n"
-        "quatgrad.cli.main(['eval-grad', 'power:3:1+0i+0j+0k', '2+1i+0j+0k'])\n"
-        "quatgrad.cli.main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
-        f"print(sorted(set({unused!r}) & set(sys.modules)))\n")
-    run = subprocess.run([sys.executable, *flags, "-c", child],
-                         capture_output=True, text=True, env=_CHILD_ENV)
-    assert run.returncode == 0, run.stderr
-    assert run.stderr.startswith("domain error:")
-    assert run.stdout.splitlines()[-1] == "[]"
+    run = _import_run(flags)
+    assert not run.loaded & set(unused)
+    assert run.err[1].startswith("domain error:")
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)])
 def test_subprocess_eval_grad_loads_neither_dataclasses_nor_inspect(flags):
-    # the records on the eval-grad path are _Records, not @dataclasses:
-    # dataclasses (which imports inspect, ast, dis and tokenize) loads only
-    # when dataclasses.fields, replace or FrozenInstanceError are used
-    child = (
-        "import sys\n"
-        "import quatgrad.cli\n"
-        "quatgrad.cli.main(['eval-grad', 'power:3:1+0i+0j+0k', '2+1i+0j+0k'])\n"
-        "quatgrad.cli.main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-        "import dataclasses\n"
-        "print(dataclasses.fields(quatgrad.Quaternion(1.0))[0].name)\n")
-    run = subprocess.run([sys.executable, *flags, "-c", child],
-                         capture_output=True, text=True, env=_CHILD_ENV)
-    assert run.returncode == 0, run.stderr
-    assert run.stderr.startswith("domain error:")
-    assert run.stdout.splitlines()[-2:] == ["[]", "a"]
+    run = _import_run(flags)
+    assert not run.loaded & set(_DATACLASSES)
+    assert run.out[-1] == "a"
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)])
 def test_subprocess_eval_grad_loads_no_argparse(flags):
-    # cli._plain_eval_grad parses eval-grad's lines: argparse, and the
-    # gettext and locale it imports, load for --help and usage errors only
-    child = (
-        "import sys\n"
-        "import quatgrad.cli\n"
-        "modules = {'argparse', 'gettext', 'locale'}\n"
-        "quatgrad.cli.main(['eval-grad', '--side', 'right', 'exp', '--',\n"
-        "                   '-.5+1i+0j+0k'])\n"
-        "quatgrad.cli.main(['eval-grad', 'exp', '1+2i+3j'])\n"
-        "quatgrad.cli.main(['eval-grad', 'ln', '--', '-1+0i+0j+0k'])\n"
-        "print(sorted(modules & set(sys.modules)))\n"
-        "print(quatgrad.cli.main(['eval-grad', '--help']))\n"
-        "print(sorted(modules & set(sys.modules)))\n")
-    run = subprocess.run([sys.executable, *flags, "-c", child],
-                         capture_output=True, text=True, env=_CHILD_ENV)
-    assert run.returncode == 0, run.stderr
-    out = run.stdout.splitlines()
-    assert out[0] == "side: right" and out[5] == "[]"
-    assert out[6].startswith("usage: quatgrad eval-grad")
-    assert out[-2:] == ["0", "['argparse', 'gettext', 'locale']"]
-    assert [line.split(":")[0] for line in run.stderr.splitlines()] == [
-        "parse error", "domain error"]
+    run = _import_run(flags)
+    assert not run.loaded & set(_ARGPARSE)
+    assert run.out[-4:-2] == ["0", "['argparse', 'gettext', 'locale']"]
 
 
 def test_subprocess_cli_import_loads_no_fractions():
-    # tanh_series rounds int / int directly; fractions (with decimal and
-    # numbers) is not imported
-    child = (
-        "import sys\n"
-        "import quatgrad, quatgrad.cli\n"
-        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n")
-    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                         text=True, env=_CHILD_ENV)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert not _import_run(()).loaded & set(_FRACTIONS)
 
 
 def test_subprocess_qlms_run_stability_warning_is_one_line(tmp_path):
     # the README config: mu = 0.05 is past the guard 0.03115, yet converges
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
-                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    cfg.write_text(README_CONFIG)
     out = tmp_path / "out.csv"
-    run = subprocess.run([sys.executable, "-m", "quatgrad", "qlms-run",
-                          str(cfg), str(out)],
-                         capture_output=True, text=True, env=_CHILD_ENV)
+    run = run_child("-m", "quatgrad", "qlms-run", str(cfg), str(out))
     assert run.returncode == EXIT_OK, run.stderr
     assert len(run.stderr.splitlines()) == 1
     assert run.stderr.startswith("warning: step size")
@@ -955,12 +951,10 @@ def test_subprocess_qlms_run_stability_warning_is_one_line(tmp_path):
 def test_subprocess_qlms_run_warning_as_error_is_one_line(tmp_path):
     # -W error raises the StabilityWarning: a config error, not a traceback
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
-                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    cfg.write_text(README_CONFIG)
     out = tmp_path / "out.csv"
-    run = subprocess.run([sys.executable, "-W", "error", "-m", "quatgrad",
-                          "qlms-run", str(cfg), str(out)],
-                         capture_output=True, text=True, env=_CHILD_ENV)
+    run = run_child("-m", "quatgrad", "qlms-run", str(cfg), str(out),
+                    flags=("-W", "error"))
     assert run.returncode == EXIT_PARSE, run.stderr
     assert "Traceback" not in run.stderr
     assert len(run.stderr.splitlines()) == 1
@@ -972,17 +966,14 @@ def test_subprocess_qlms_run_warning_as_error_is_one_line(tmp_path):
 def test_subprocess_qlms_run_warning_as_error_keeps_existing_output(tmp_path):
     # the output check before the run must not empty a CSV already there
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
-                   "0+0i+1j+0k;0+0i+0j+1k\n")
+    cfg.write_text(README_CONFIG)
     out = tmp_path / "out.csv"
-    base = [sys.executable, "-m", "quatgrad", "qlms-run", str(cfg), str(out)]
-    first = subprocess.run(base, capture_output=True, text=True,
-                           env=_CHILD_ENV)
+    argv = ["-m", "quatgrad", "qlms-run", str(cfg), str(out)]
+    first = run_child(*argv)
     assert first.returncode == EXIT_OK, first.stderr
     before = out.read_bytes()
     assert len(before.splitlines()) == 2001
-    run = subprocess.run([sys.executable, "-W", "error"] + base[1:],
-                         capture_output=True, text=True, env=_CHILD_ENV)
+    run = run_child(*argv, flags=("-W", "error"))
     assert run.returncode == EXIT_PARSE, run.stderr
     assert run.stderr.startswith("config error: step size 0.05 exceeds ")
     assert out.read_bytes() == before
@@ -992,11 +983,8 @@ def test_subprocess_qlms_run_warning_as_error_keeps_existing_output(tmp_path):
 def test_subprocess_qlms_run_into_a_full_device_is_output_error(tmp_path):
     # the path check opens /dev/full; the CSV's write fails with ENOSPC
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(GOOD_CONFIG + "true_weights=1+0i+0j+0k;0+1i+0j+0k;"
-                   "0+0i+1j+0k;0+0i+0j+1k\n")
-    run = subprocess.run([sys.executable, "-m", "quatgrad", "qlms-run",
-                          str(cfg), "/dev/full"],
-                         capture_output=True, text=True, env=_CHILD_ENV)
+    cfg.write_text(README_CONFIG)
+    run = run_child("-m", "quatgrad", "qlms-run", str(cfg), "/dev/full")
     assert (run.returncode, run.stdout) == (EXIT_PARSE, ""), run.stderr
     assert "Traceback" not in run.stderr
     warning, error = run.stderr.splitlines()
@@ -1005,15 +993,12 @@ def test_subprocess_qlms_run_into_a_full_device_is_output_error(tmp_path):
 
 
 def test_subprocess_validate_and_qlms(tmp_path):
-    base = [sys.executable, "-m", "quatgrad"]
-    val = subprocess.run(base + ["validate", "series"],
-                         capture_output=True, text=True, env=_CHILD_ENV)
+    val = run_child("-m", "quatgrad", "validate", "series")
     assert val.returncode == EXIT_OK, val.stdout + val.stderr
     cfg = tmp_path / "c.cfg"
     cfg.write_text("M=3\nmu=0.02\niterations=100\nnoise_power=0.0\nseed=5\n")
     out = tmp_path / "o.csv"
-    run = subprocess.run(base + ["qlms-run", str(cfg), str(out)],
-                         capture_output=True, text=True, env=_CHILD_ENV)
+    run = run_child("-m", "quatgrad", "qlms-run", str(cfg), str(out))
     assert run.returncode == EXIT_OK, run.stdout + run.stderr
     assert out.read_text().startswith("iteration,squared_error,weight_error_norm")
 
@@ -1029,8 +1014,8 @@ def test_subprocess_closed_stdout_is_output_error(argv, unbuffered):
     try:
         run = subprocess.run(
             [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True,
-            env={**_CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
+            stderr=subprocess.PIPE, text=True, timeout=CHILD_TIMEOUT,
+            env={**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write_end)
     assert run.returncode == EXIT_PARSE
@@ -1043,7 +1028,7 @@ def test_subprocess_without_stdout_is_no_traceback():
     run = subprocess.run(
         [sys.executable, "-m", "quatgrad", "eval-grad", "exp", "1+0i+0j+0k"],
         preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
-        env=_CHILD_ENV)
+        env=CHILD_ENV, timeout=CHILD_TIMEOUT)
     assert (run.returncode, run.stderr) == (EXIT_OK, "")
 
 
@@ -1057,8 +1042,8 @@ def test_subprocess_help_into_closed_stdout_is_output_error(argv, unbuffered):
     try:
         run = subprocess.run(
             [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True,
-            env={**_CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
+            stderr=subprocess.PIPE, text=True, timeout=CHILD_TIMEOUT,
+            env={**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write_end)
     assert run.returncode == EXIT_PARSE

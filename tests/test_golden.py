@@ -14,14 +14,12 @@ change that alters an output on purpose.
 import contextlib
 import hashlib
 import io
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import quatgrad
+from conftest import README_CONFIG, run_child
 from quatgrad.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,8 +65,6 @@ CASES = [
 # README's qlms-run, run in a child process from the directory that holds
 # its config: the StabilityWarning line is then the one a shell shows
 QLMS_RUN = ("qlms_run", ["qlms-run", "run.cfg", "out.csv"])
-README_CONFIG = ("M=4\nmu=0.05\niterations=2000\nnoise_power=0.0\nseed=123\n"
-                 "true_weights=1+0i+0j+0k;0+1i+0j+0k;0+0i+1j+0k;0+0i+0j+1k\n")
 
 
 def render(argv) -> str:
@@ -81,24 +77,19 @@ def render(argv) -> str:
             f"-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}")
 
 
-def run_child(argv, directory, flags=()) -> str:
+def render_process(argv, directory, flags=()) -> str:
     """render() of `python <flags> -m quatgrad` in `directory`."""
-    src = str(Path(quatgrad.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, *flags, "-m", "quatgrad", *argv],
-                         cwd=directory, env=env, capture_output=True,
-                         text=True)
+    run = run_child("-m", "quatgrad", *argv, flags=flags, cwd=directory)
     return (f"$ quatgrad {' '.join(argv)}\nexit {run.returncode}\n"
             f"-- stdout\n{run.stdout}-- stderr\n{run.stderr}")
 
 
 def render_child(argv, directory, flags=()) -> str:
-    """run_child() with README's config as run.cfg, plus the md5 of the
+    """render_process() with README's config as run.cfg, plus the md5 of the
     out.csv it writes."""
     directory = Path(directory)
     (directory / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
-    text = run_child(argv, directory, flags)
+    text = render_process(argv, directory, flags)
     md5 = hashlib.md5((directory / "out.csv").read_bytes()).hexdigest()
     return f"{text}-- md5 out.csv\n{md5}\n"
 
@@ -134,7 +125,7 @@ def test_validate_with_warnings_as_errors_matches_its_golden(tmp_path):
     # `python -W error -m quatgrad validate --seed 7`: no warning is
     # raised, and stdout is the in-process golden's
     argv = ["validate", "--seed", "7"]
-    assert run_child(argv, tmp_path, ("-W", "error")) == \
+    assert render_process(argv, tmp_path, ("-W", "error")) == \
         expected("validate_seed_7")
 
 

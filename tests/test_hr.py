@@ -1,17 +1,13 @@
 import copy
 import dataclasses
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import qdist, rand_quat
+from conftest import qdist, rand_quat, run_child
 import quatgrad
 from quatgrad import (AxisUnit, HRGradient, IDENTITY_GRADIENT, JACOBIAN,
                       NotRealValued, ONE, QI, QJ, QK, QJet, Quaternion,
@@ -347,10 +343,7 @@ for f, x in ((jet_exp, 1e308), (jet_tanh, 8e307)):
 
 
 def test_jet_exp_of_an_overflowing_norm_raises():
-    src = str(Path(quatgrad.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", _OVERFLOWING_NORM],
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=30)
+    run = run_child("-c", _OVERFLOWING_NORM)
     assert run.returncode == 0, run.stderr
 
 

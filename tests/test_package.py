@@ -1,14 +1,12 @@
 import ast
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
+from conftest import run_child
 import quatgrad
 
 
@@ -87,14 +85,9 @@ power_derivative_oracle real_axis_limit_check symmetric_ratio
 tanh_derivative tanh_q tanh_series
 """.split()
 
-_SRC = str(Path(quatgrad.__file__).resolve().parents[1])
-_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
-
 
 def _fresh(code: str) -> str:
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=_CHILD_ENV)
+    run = run_child("-c", code)
     assert run.returncode == 0, run.stderr
     return run.stdout
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import qdist, rand_quat
+from conftest import README_CONFIG, qdist, rand_quat
 from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       FilterState,
                       LengthMismatch, ONE, QI, QJ, QK, Quaternion,
@@ -581,9 +581,7 @@ def test_final_norm_line_does_not_depend_on_how_sum_adds_floats(
     # qlms-run on the README config; sum() printed ...614e-16 under the
     # emulation
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("M=4\nmu=0.05\niterations=2000\nnoise_power=0.0\n"
-                        "seed=123\ntrue_weights=1+0i+0j+0k;0+1i+0j+0k;"
-                        "0+0i+1j+0k;0+0i+0j+1k\n")
+    cfg_path.write_text(README_CONFIG)
     argv = ["qlms-run", str(cfg_path), str(tmp_path / "out.csv")]
     lines = []
     with warnings.catch_warnings():
