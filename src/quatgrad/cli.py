@@ -90,12 +90,6 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """Usage problems exit with code 1 (parse failure)."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
-
         def _print_message(self, message, file=None):
             # argparse drops an OSError of the write; main reports one on
             # stdout (--help into a closed pipe, unbuffered)
@@ -216,7 +210,8 @@ def load_experiment_config(path):
     ExperimentConfig draws them (seeded with (seed, 1)) after its checks.
     """
     from .qlms import ExperimentConfig
-    with open(path) as fh:  # not pathlib, which eval-grad would load
+    # open(), not pathlib, which eval-grad would load
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -268,7 +263,7 @@ def _cmd_qlms_run(args) -> int:
     # fail on an unusable output path before the run, not after it; append
     # mode creates a new file empty and leaves an existing one as it was
     try:
-        open(args.output, "a").close()
+        open(args.output, "a", encoding="utf-8").close()
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -304,8 +299,8 @@ def main(argv=None) -> int:
             args = _plain_eval_grad(argv) or _build_parser().parse_args(argv)
             code = {"eval-grad": _cmd_eval_grad, "validate": _cmd_validate,
                     "qlms-run": _cmd_qlms_run}[args.command](args)
-        except SystemExit as exc:  # argparse: usage errors and --help
-            code = exc.code if isinstance(exc.code, int) else EXIT_PARSE
+        except SystemExit as exc:  # argparse: --help 0, a usage error 2
+            code = EXIT_PARSE if exc.code else EXIT_OK
         if sys.stdout is not None:  # None when fd 1 is closed: no output
             sys.stdout.flush()  # a closed pipe shows here, not at exit
     except OSError as exc:  # a closed stdout or a failed write

@@ -292,7 +292,7 @@ def write_record_csv(record: ConvergenceRecord, path) -> None:
     recorded squared norms), full round-trip precision.  Each row is one
     preformatted line, the bytes csv.writer gives: no float repr needs
     quoting."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,squared_error,weight_error_norm\r\n")
         fh.writelines(f"{n},{se!r},{we!r}\r\n" for n, (se, we) in enumerate(
             zip(record.squared_error, record.weight_error_sq)))
@@ -305,7 +305,7 @@ def read_record_csv(path) -> tuple[list[float], list[float]]:
     is a ValueError naming the file and line."""
     import csv
     name = os.path.basename(path)
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["iteration", "squared_error", "weight_error_norm"]:

@@ -107,19 +107,6 @@ class Quaternion(_Record):
     def __new__(cls, a, b=0.0, c=0.0, d=0.0):
         return _raw(float(a), float(b), float(c), float(d))
 
-    def __eq__(self, other):  # as @dataclass writes it: _Record's is slower
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == \
-                (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return (f"Quaternion(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r})")
-
     # -- basic structure ------------------------------------------------
 
     def conjugate(self) -> "Quaternion":

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 import quatgrad
 from quatgrad import Quaternion
+from quatgrad.cli import main
 # the test modules import these from here; they are validate's own samplers
 from quatgrad.validate import random_pure_unit as rand_pure_unit
 from quatgrad.validate import random_quaternion as rand_quat
@@ -33,6 +36,14 @@ def run_child(*args, flags=(), **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *flags, *args], capture_output=True,
                           text=True, env=CHILD_ENV, timeout=CHILD_TIMEOUT,
                           **kwargs)
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """cli.main(argv) in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture

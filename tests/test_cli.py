@@ -1,8 +1,6 @@
-import contextlib
 import dataclasses
 import functools
 import inspect
-import io
 import itertools
 import math
 import os
@@ -20,22 +18,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CHILD_ENV, CHILD_TIMEOUT, README_CONFIG, qdist,
-                      run_child)
+                      run_child, run_main)
 import quatgrad
 from quatgrad import cli
 from quatgrad import (Quaternion, StabilityWarning, ln_derivative,
                       read_record_csv, run_system_identification)
 from quatgrad.cli import (EXIT_DIVERGED, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE,
-                          EXIT_VALIDATION, load_experiment_config, main)
+                          EXIT_VALIDATION, load_experiment_config)
 
 
 _PARSER = cli._build_parser()
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def parse_gradient_output(out: str):
@@ -46,33 +38,33 @@ def parse_gradient_output(out: str):
 
 # -- eval-grad -----------------------------------------------------------------
 
-def test_eval_grad_exp_at_zero(capsys):
-    code, out, _ = run_cli(capsys, "eval-grad", "exp", "0+0i+0j+0k")
+def test_eval_grad_exp_at_zero():
+    code, out, _ = run_main(["eval-grad", "exp", "0+0i+0j+0k"])
     assert code == EXIT_OK
     side, grads = parse_gradient_output(out)
     assert side == "left"
     assert qdist(grads["d1"], Quaternion(1)) <= 1e-12
 
 
-def test_eval_grad_power(capsys):
-    code, out, _ = run_cli(capsys, "eval-grad", "power:2", "1+2i+3j+4k")
+def test_eval_grad_power():
+    code, out, _ = run_main(["eval-grad", "power:2", "1+2i+3j+4k"])
     assert code == EXIT_OK
     _, grads = parse_gradient_output(out)
     assert grads["d1"] == Quaternion(2, 2, 3, 4)
     assert grads["dI"] == Quaternion(0, 2, 0, 0)
 
 
-def test_eval_grad_power_with_center(capsys):
-    code, out, _ = run_cli(capsys, "eval-grad", "power:2:1+0i+0j+0k",
-                           "2+2i+3j+4k")
+def test_eval_grad_power_with_center():
+    code, out, _ = run_main(["eval-grad", "power:2:1+0i+0j+0k",
+                             "2+2i+3j+4k"])
     assert code == EXIT_OK
     _, grads = parse_gradient_output(out)
     assert grads["d1"] == Quaternion(2, 2, 3, 4)
 
 
-def test_eval_grad_right_side(capsys):
-    code, out, _ = run_cli(capsys, "eval-grad", "tanh", "0.3+0.4i+0j+0k",
-                           "--side", "right")
+def test_eval_grad_right_side():
+    code, out, _ = run_main(["eval-grad", "tanh", "0.3+0.4i+0j+0k",
+                             "--side", "right"])
     assert code == EXIT_OK
     side, grads = parse_gradient_output(out)
     assert side == "right"
@@ -80,17 +72,17 @@ def test_eval_grad_right_side(capsys):
     assert qdist(grads["d1"], tanh_derivative(Quaternion(0.3, 0.4))) <= 1e-10
 
 
-def test_eval_grad_domain_error(capsys):
-    code, _, err = run_cli(capsys, "eval-grad", "ln", "0+0i+0j+0k")
+def test_eval_grad_domain_error():
+    code, _, err = run_main(["eval-grad", "ln", "0+0i+0j+0k"])
     assert code == EXIT_DOMAIN
     assert "domain error" in err
-    code, _, err = run_cli(capsys, "eval-grad", "ln", "-1+0i+0j+0k")
+    code, _, err = run_main(["eval-grad", "ln", "-1+0i+0j+0k"])
     assert code == EXIT_DOMAIN
-    code, _, err = run_cli(capsys, "eval-grad", "power:-1", "0+0i+0j+0k")
+    code, _, err = run_main(["eval-grad", "power:-1", "0+0i+0j+0k"])
     assert code == EXIT_DOMAIN
     for function, point in (("exp", "1000+0i+0j+0k"),
                             ("power:2000", "10+1i+0j+0k")):
-        code, _, err = run_cli(capsys, "eval-grad", function, point)
+        code, _, err = run_main(["eval-grad", function, point])
         assert code == EXIT_DOMAIN
         assert "domain error" in err
 
@@ -101,17 +93,17 @@ def test_eval_grad_domain_error(capsys):
     ("exp", "709.7+0.5i+0.5j+0.5k"),    # only left_from_real's sums overflow
     ("power:3:1+0i+0j+0k", "1e200+0i+0j+0k"),
 ])
-def test_eval_grad_overflow_names_function_and_point(capsys, function, point):
-    code, out, err = run_cli(capsys, "eval-grad", function, point)
+def test_eval_grad_overflow_names_function_and_point(function, point):
+    code, out, err = run_main(["eval-grad", function, point])
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == (f"domain error: {function} at q = "
                    f"{Quaternion.from_string(point)}: the result is beyond "
                    "the float range\n")
 
 
-def test_eval_grad_tanh_pole_is_domain_error(capsys):
-    code, out, err = run_cli(capsys, "eval-grad", "tanh",
-                             "0+1.5707963267948966i+0j+0k")
+def test_eval_grad_tanh_pole_is_domain_error():
+    code, out, err = run_main(["eval-grad", "tanh",
+                               "0+1.5707963267948966i+0j+0k"])
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "pole" in err
@@ -122,15 +114,15 @@ def test_eval_grad_tanh_pole_is_domain_error(capsys):
     ("power:-2:1+0i+0j+0k", "1+0i+0j+0k"),
     ("power:-1:1+2i+0j+0k", "1+2i+0j+0k"),
 ])
-def test_eval_grad_power_pole_is_named(capsys, function, point):
-    code, out, err = run_cli(capsys, "eval-grad", function, point)
+def test_eval_grad_power_pole_is_named(function, point):
+    code, out, err = run_main(["eval-grad", function, point])
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "pole" in err
     assert "complex division" not in err
 
 
-def test_eval_grad_ln_next_to_branch_cut(capsys):
-    code, out, _ = run_cli(capsys, "eval-grad", "ln", "--", "-1+1e-300i+0j+0k")
+def test_eval_grad_ln_next_to_branch_cut():
+    code, out, _ = run_main(["eval-grad", "ln", "--", "-1+1e-300i+0j+0k"])
     assert code == EXIT_OK
     _, grads = parse_gradient_output(out)
     parts = [x for g in grads.values() for x in (g.a, g.b, g.c, g.d)]
@@ -139,19 +131,19 @@ def test_eval_grad_ln_next_to_branch_cut(capsys):
     assert qdist(grads["d1"], closed) <= 1e-12 * abs(closed)
 
 
-def test_eval_grad_tanh_far_from_origin(capsys):
+def test_eval_grad_tanh_far_from_origin():
     # |cosh q|^2 is beyond the float range; tanh is 1 and its gradient 0
-    code, out, _ = run_cli(capsys, "eval-grad", "tanh", "700+0i+0j+0k")
+    code, out, _ = run_main(["eval-grad", "tanh", "700+0i+0j+0k"])
     assert code == EXIT_OK
     _, grads = parse_gradient_output(out)
     parts = [x for g in grads.values() for x in (g.a, g.b, g.c, g.d)]
     assert len(parts) == 16 and all(map(math.isfinite, parts))
 
 
-def test_eval_grad_huge_power_is_finite(capsys):
+def test_eval_grad_huge_power_is_finite():
     # a loop over the exponent would take 1e9 steps here
-    code, out, _ = run_cli(capsys, "eval-grad", "power:1000000000",
-                           "0.5+0.1i+0j+0k")
+    code, out, _ = run_main(["eval-grad", "power:1000000000",
+                             "0.5+0.1i+0j+0k"])
     assert code == EXIT_OK
     _, grads = parse_gradient_output(out)
     assert all(math.isfinite(x) for g in grads.values()
@@ -162,8 +154,8 @@ def test_eval_grad_huge_power_is_finite(capsys):
     ("power:-6", "1e300+0.5i-3j+2k"),  # complex z ** -6 is nan here
     ("power:2", "1e154+0i+0j+1e-8k"),  # q^2 is finite, q^4 is not
 ])
-def test_eval_grad_large_points_are_finite(capsys, function, point):
-    code, out, _ = run_cli(capsys, "eval-grad", function, point)
+def test_eval_grad_large_points_are_finite(function, point):
+    code, out, _ = run_main(["eval-grad", function, point])
     assert code == EXIT_OK
     _, grads = parse_gradient_output(out)
     assert all(math.isfinite(x) for g in grads.values()
@@ -181,36 +173,34 @@ _FUNCTIONS = st.sampled_from(["exp", "ln", "tanh"]) | st.builds(
 @given(_FUNCTIONS, st.builds(Quaternion, _EXTREME, _EXTREME, _EXTREME,
                              _EXTREME))
 def test_eval_grad_extreme_points_never_raise(function, point):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval-grad", function, "--", str(point)])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), err.getvalue()
+    code, out, err = run_main(["eval-grad", function, "--", str(point)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), err
     if code == EXIT_OK:
-        _, grads = parse_gradient_output(out.getvalue())
+        _, grads = parse_gradient_output(out)
         assert all(math.isfinite(x) for g in grads.values()
                    for x in (g.a, g.b, g.c, g.d))
 
 
-def test_eval_grad_parse_errors(capsys):
-    assert run_cli(capsys, "eval-grad", "exp", "garbage")[0] == EXIT_PARSE
-    assert run_cli(capsys, "eval-grad", "sinh", "1+0i+0j+0k")[0] == EXIT_PARSE
-    assert run_cli(capsys, "eval-grad", "power:x", "1+0i+0j+0k")[0] == EXIT_PARSE
-    assert run_cli(capsys, "eval-grad", "exp", "1+2i+3j")[0] == EXIT_PARSE
+def test_eval_grad_parse_errors():
+    assert run_main(["eval-grad", "exp", "garbage"])[0] == EXIT_PARSE
+    assert run_main(["eval-grad", "sinh", "1+0i+0j+0k"])[0] == EXIT_PARSE
+    assert run_main(["eval-grad", "power:x", "1+0i+0j+0k"])[0] == EXIT_PARSE
+    assert run_main(["eval-grad", "exp", "1+2i+3j"])[0] == EXIT_PARSE
     for function in ("power", "power:", "power:2:1+0i+0j+0k:3", "power:2:zzz",
                      "exp:2", "Exp"):
-        code, out, err = run_cli(capsys, "eval-grad", function, "1+0i+0j+0k")
+        code, out, err = run_main(["eval-grad", function, "1+0i+0j+0k"])
         assert (code, out) == (EXIT_PARSE, "") and "parse error" in err
 
 
 @pytest.mark.parametrize("function", ["sinh", "Exp", "exp:2"])
-def test_eval_grad_unknown_function_line(capsys, function):
-    assert run_cli(capsys, "eval-grad", function, "1+0i+0j+0k") == (
+def test_eval_grad_unknown_function_line(function):
+    assert run_main(["eval-grad", function, "1+0i+0j+0k"]) == (
         EXIT_PARSE, "", f"parse error: unknown elementary function "
         f"{function!r} (expected exp, ln, tanh, power)\n")
 
 
-def test_eval_grad_non_integer_exponent_names_the_power_argument(capsys):
-    assert run_cli(capsys, "eval-grad", "power:2.5", "1+0i+0j+0k") == (
+def test_eval_grad_non_integer_exponent_names_the_power_argument():
+    assert run_main(["eval-grad", "power:2.5", "1+0i+0j+0k"]) == (
         EXIT_PARSE, "", "parse error: bad power argument 'power:2.5': the "
         "exponent '2.5' is not an integer\n")
 
@@ -264,15 +254,12 @@ def test_plain_eval_grad_leaves_help_and_usage_errors_to_argparse():
 # -- every short command line -------------------------------------------------
 
 def _outcome(argv):
-    """main's exit code, stdout and stderr for argv, in process; an
-    exception that escapes main is the code, as its repr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except Exception as exc:
-            code = repr(exc)
-    return code, out.getvalue(), err.getvalue()
+    """run_main(argv); an exception that escapes main is the code, as its
+    repr, with no output."""
+    try:
+        return run_main(argv)
+    except Exception as exc:
+        return repr(exc), "", ""
 
 
 def _short_lines(command, vocabulary):
@@ -386,54 +373,54 @@ def test_double_dash_as_a_word_is_a_usage_error(tmp_path, monkeypatch, argv):
     assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
-def test_unknown_flag_is_parse_error(capsys):
-    assert run_cli(capsys, "eval-grad", "exp", "0+0i+0j+0k",
-                   "--frobnicate")[0] == EXIT_PARSE
+def test_unknown_flag_is_parse_error():
+    assert run_main(["eval-grad", "exp", "0+0i+0j+0k",
+                     "--frobnicate"])[0] == EXIT_PARSE
 
 
-def test_missing_subcommand_is_parse_error(capsys):
-    assert run_cli(capsys)[0] == EXIT_PARSE
+def test_missing_subcommand_is_parse_error():
+    assert run_main([])[0] == EXIT_PARSE
 
 
 # -- validate ------------------------------------------------------------------
 
-def test_validate_algebra_passes(capsys):
-    code, out, _ = run_cli(capsys, "validate", "algebra")
+def test_validate_algebra_passes():
+    code, out, _ = run_main(["validate", "algebra"])
     assert code == EXIT_OK
     assert "algebra: PASS" in out
     assert "overall: PASS" in out
 
 
-def test_validate_consistency_prints_table(capsys):
-    code, out, _ = run_cli(capsys, "validate", "consistency")
+def test_validate_consistency_prints_table():
+    code, out, _ = run_main(["validate", "consistency"])
     assert code == EXIT_OK
     assert "real-axis limit monotone: exp" in out
     assert " > " in out  # the decreasing-error table rows
 
 
-def test_validate_consistency_follows_seed(capsys):
-    tables = [run_cli(capsys, "validate", "consistency", "--seed", seed)
+def test_validate_consistency_follows_seed():
+    tables = [run_main(["validate", "consistency", "--seed", seed])
               for seed in ("1", "2")]
     assert all(code == EXIT_OK for code, _, _ in tables)
     assert tables[0][1] != tables[1][1]
 
 
-def test_validate_rules_passes(capsys):
-    code, out, _ = run_cli(capsys, "validate", "rules")
+def test_validate_rules_passes():
+    code, out, _ = run_main(["validate", "rules"])
     assert code == EXIT_OK
     assert "rules: PASS" in out
     assert "overall: PASS" in out
 
 
-def test_validate_fd_prints_slopes(capsys):
-    code, out, _ = run_cli(capsys, "validate", "fd")
+def test_validate_fd_prints_slopes():
+    code, out, _ = run_main(["validate", "fd"])
     assert code == EXIT_OK
     assert "slope" in out
 
 
-def test_validate_without_suite_runs_every_suite_in_order(capsys):
+def test_validate_without_suite_runs_every_suite_in_order():
     from quatgrad.validate import SUITE_NAMES
-    code, out, _ = run_cli(capsys, "validate")
+    code, out, _ = run_main(["validate"])
     assert code == EXIT_OK
     lines = out.splitlines()
     summaries = [line for line in lines
@@ -443,11 +430,11 @@ def test_validate_without_suite_runs_every_suite_in_order(capsys):
     assert lines[-1] == "overall: PASS"
 
 
-def test_validate_rejects_unknown_suite(capsys):
-    assert run_cli(capsys, "validate", "nonsense")[0] == EXIT_PARSE
+def test_validate_rejects_unknown_suite():
+    assert run_main(["validate", "nonsense"])[0] == EXIT_PARSE
 
 
-def test_validate_failure_exits_3(capsys, monkeypatch):
+def test_validate_failure_exits_3(monkeypatch):
     from quatgrad.validate import CheckResult, SuiteReport
 
     def fake_run_suites(names, seed):
@@ -455,7 +442,7 @@ def test_validate_failure_exits_3(capsys, monkeypatch):
                             [CheckResult("forced failure", 0, 1, 42.0)])]
 
     monkeypatch.setattr("quatgrad.validate.run_suites", fake_run_suites)
-    code, out, _ = run_cli(capsys, "validate", "algebra")
+    code, out, _ = run_main(["validate", "algebra"])
     assert code == EXIT_VALIDATION
     assert "overall: FAIL" in out
 
@@ -473,8 +460,8 @@ def test_cli_default_seed_matches_validate():
 
 
 @pytest.mark.parametrize("seed", ["-1", "-20240601"])
-def test_validate_rejects_bad_seed(capsys, seed):
-    code, out, err = run_cli(capsys, "validate", "algebra", "--seed", seed)
+def test_validate_rejects_bad_seed(seed):
+    code, out, err = run_main(["validate", "algebra", "--seed", seed])
     assert (code, out) == (EXIT_PARSE, "")
     assert "--seed" in err
 
@@ -487,11 +474,9 @@ def test_validate_seed_argument_never_raises(seed):
         valid = int(seed) >= 0
     except ValueError:
         valid = False
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("quatgrad.validate.run_suites", return_value=[]), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", "algebra", f"--seed={seed}"])
-    assert code == (EXIT_OK if valid else EXIT_PARSE), err.getvalue()
+    with mock.patch("quatgrad.validate.run_suites", return_value=[]):
+        code, _, err = run_main(["validate", "algebra", f"--seed={seed}"])
+    assert code == (EXIT_OK if valid else EXIT_PARSE), err
 
 
 # -- qlms-run ------------------------------------------------------------------
@@ -500,11 +485,11 @@ def test_validate_seed_argument_never_raises(seed):
 GOOD_CONFIG = README_CONFIG[:README_CONFIG.index("true_weights=")]
 
 
-def test_qlms_run_converges(tmp_path, capsys, recwarn):
+def test_qlms_run_converges(tmp_path, recwarn):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD_CONFIG)
     out_path = tmp_path / "out.csv"
-    code, out, _ = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    code, out, _ = run_main(["qlms-run", str(cfg_path), str(out_path)])
     assert code == EXIT_OK
     assert "final weight error norm" in out
     final = float(out.split("final weight error norm:")[1])
@@ -513,8 +498,7 @@ def test_qlms_run_converges(tmp_path, capsys, recwarn):
     assert final <= 1e-6 * we[0] ** 0.5
 
 
-def test_qlms_run_failed_write_is_output_error(tmp_path, capsys, recwarn,
-                                              monkeypatch):
+def test_qlms_run_failed_write_is_output_error(tmp_path, recwarn, monkeypatch):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD_CONFIG.replace("iterations=2000", "iterations=5"))
 
@@ -522,19 +506,19 @@ def test_qlms_run_failed_write_is_output_error(tmp_path, capsys, recwarn,
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(quatgrad.qlms, "write_record_csv", full_disk)
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_main(["qlms-run", str(cfg_path),
+                               str(tmp_path / "out.csv")])
     assert (code, out) == (EXIT_PARSE, "")
     assert err.splitlines()[-1] == \
         "output error: [Errno 28] No space left on device"
     assert "Traceback" not in err
 
 
-def test_qlms_run_csv_matches_library_run(tmp_path, capsys, recwarn):
+def test_qlms_run_csv_matches_library_run(tmp_path, recwarn):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD_CONFIG.replace("iterations=2000", "iterations=50"))
     out_path = tmp_path / "out.csv"
-    code, _, _ = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    code, _, _ = run_main(["qlms-run", str(cfg_path), str(out_path)])
     assert code == EXIT_OK
     record = run_system_identification(load_experiment_config(cfg_path))
     se, we = read_record_csv(out_path)
@@ -542,13 +526,12 @@ def test_qlms_run_csv_matches_library_run(tmp_path, capsys, recwarn):
     assert we == record.weight_error_sq
 
 
-def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, capsys,
-                                                      recwarn):
+def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, recwarn):
     # the README config: its final error norm is about 1.75e-16
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(README_CONFIG)
-    code, out, _ = run_cli(capsys, "qlms-run", str(cfg_path),
-                           str(tmp_path / "out.csv"))
+    code, out, _ = run_main(["qlms-run", str(cfg_path),
+                             str(tmp_path / "out.csv")])
     assert code == EXIT_OK
     printed = float(out.split("final weight error norm:")[1])
     cfg = load_experiment_config(cfg_path)
@@ -560,7 +543,7 @@ def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, capsys,
     assert printed == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-def test_qlms_run_explicit_weights(tmp_path, capsys):
+def test_qlms_run_explicit_weights(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
         "M=2\nmu=0.02\niterations=400\nnoise_power=0.0\nseed=7\n"
@@ -568,26 +551,26 @@ def test_qlms_run_explicit_weights(tmp_path, capsys):
     cfg = load_experiment_config(cfg_path)
     assert cfg.true_weights == (Quaternion(1), Quaternion(0, 0, 1, 0))
     out_path = tmp_path / "out.csv"
-    assert run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))[0] == EXIT_OK
+    assert run_main(["qlms-run", str(cfg_path), str(out_path)])[0] == EXIT_OK
 
 
-def test_qlms_run_divergence_exit(tmp_path, capsys, recwarn):
+def test_qlms_run_divergence_exit(tmp_path, recwarn):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD_CONFIG.replace("mu=0.05", "mu=5.0"))
     out_path = tmp_path / "out.csv"
-    code, _, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    code, _, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
     assert code == EXIT_DIVERGED
     assert "diverged" in err
     assert out_path.exists()  # truncated record still written
 
 
-def test_qlms_run_overflow_is_divergence(tmp_path, capsys, recwarn):
+def test_qlms_run_overflow_is_divergence(tmp_path, recwarn):
     # mu * e x* overflows to inf in the first update
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
         "M=4\nmu=1e308\niterations=50\nnoise_power=0.01\nseed=3\n")
     out_path = tmp_path / "out.csv"
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    code, out, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
     assert code == EXIT_DIVERGED
     assert err.startswith("diverged: ")
     assert out == f"wrote {out_path} (1 iterations)\n"
@@ -595,9 +578,9 @@ def test_qlms_run_overflow_is_divergence(tmp_path, capsys, recwarn):
     assert len(se) == len(we) == 1 and all(map(math.isfinite, se + we))
 
 
-def test_qlms_run_missing_file(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "qlms-run", str(tmp_path / "nope.cfg"),
-                           str(tmp_path / "out.csv"))
+def test_qlms_run_missing_file(tmp_path):
+    code, _, err = run_main(["qlms-run", str(tmp_path / "nope.cfg"),
+                             str(tmp_path / "out.csv")])
     assert code == EXIT_PARSE
     assert "config error" in err
 
@@ -612,11 +595,11 @@ def test_qlms_run_missing_file(tmp_path, capsys):
     "M=4\nmu=nan\niterations=10\nnoise_power=0\nseed=1\n",
     "M=4\nmu=0.05\niterations=10\nnoise_power=inf\nseed=1\n",
 ])
-def test_qlms_run_bad_configs(tmp_path, capsys, bad):
+def test_qlms_run_bad_configs(tmp_path, bad):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(bad)
-    code, _, _ = run_cli(capsys, "qlms-run", str(cfg_path),
-                         str(tmp_path / "out.csv"))
+    code, _, _ = run_main(["qlms-run", str(cfg_path),
+                           str(tmp_path / "out.csv")])
     assert code == EXIT_PARSE
 
 
@@ -635,11 +618,11 @@ def test_config_blank_lines_between_keys_are_skipped(tmp_path):
     ("M=4\nmu=0.05\niterations=10\n\nM=8\nnoise_power=0\nseed=1\n",
      "config error: line 5: duplicate key 'M'"),
 ])
-def test_qlms_run_config_line_errors(tmp_path, capsys, text, message):
+def test_qlms_run_config_line_errors(tmp_path, text, message):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     out_path = tmp_path / "out.csv"
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    code, out, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
     assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
     assert not out_path.exists()
 
@@ -655,45 +638,45 @@ def test_qlms_run_config_line_errors(tmp_path, capsys, text, message):
      "config error: line 6: true_weights: not a quaternion string: '1+0i' "
      "(expected a+bi+cj+dk with all four components)"),
 ], ids=["seed", "mu", "true_weights"])
-def test_qlms_run_config_value_errors_name_key_and_line(tmp_path, capsys,
-                                                        text, message):
+def test_qlms_run_config_value_errors_name_key_and_line(tmp_path, text,
+                                                        message):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     out_path = tmp_path / "out.csv"
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path), str(out_path))
+    code, out, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
     assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
     assert not out_path.exists()
 
 
-def test_qlms_run_negative_seed_with_weights(tmp_path, capsys):
+def test_qlms_run_negative_seed_with_weights(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
                         "seed=-1\ntrue_weights=1+0i+0j+0k\n")
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_main(["qlms-run", str(cfg_path),
+                               str(tmp_path / "out.csv")])
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("config error: ") and "seed" in err
 
 
-def test_qlms_run_negative_seed_without_weights(tmp_path, capsys):
+def test_qlms_run_negative_seed_without_weights(tmp_path):
     # the same message as with weights: the seed is checked before the draw
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
                         "seed=-1\n")
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_main(["qlms-run", str(cfg_path),
+                               str(tmp_path / "out.csv")])
     assert (code, out) == (EXIT_PARSE, "")
     assert err == ("config error: rng_seed must be an integer >= 0, "
                    "got -1\n")
 
 
-def test_qlms_run_noise_past_squared_divergence_limit(tmp_path, capsys):
+def test_qlms_run_noise_past_squared_divergence_limit(tmp_path):
     # noise_power = 1e308 ran with exit 0 and wrote inf into the CSV
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("M=1\nmu=0\niterations=50\nnoise_power=1e308\n"
                         "seed=1\n")
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_main(["qlms-run", str(cfg_path),
+                               str(tmp_path / "out.csv")])
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("config error: noise_power ")
 
@@ -707,8 +690,8 @@ _WEIGHTS_32 = ";".join(["1+0i+0j+0k"] * 32)
     f"true_weights={_WEIGHTS_32}\n",
     "M=100000000\nmu=0.01\niterations=1\nnoise_power=0\nseed=1\n",
 ], ids=["M32-N1e7", "M32-N1e7-weights", "M1e8"])
-def test_qlms_run_size_bound_fails_before_any_draw(tmp_path, capsys,
-                                                   monkeypatch, config):
+def test_qlms_run_size_bound_fails_before_any_draw(tmp_path, monkeypatch,
+                                                   config):
     # 10.24 GB of inputs, or 10^8 default weights: rejected before numpy
     # draws anything, so this test allocates nothing either way
     def no_draw(*args, **kwargs):
@@ -718,23 +701,23 @@ def test_qlms_run_size_bound_fails_before_any_draw(tmp_path, capsys,
     monkeypatch.setattr("quatgrad.qlms.run_system_identification", no_draw)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(config)
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
-                             str(tmp_path / "out.csv"))
+    code, out, err = run_main(["qlms-run", str(cfg_path),
+                               str(tmp_path / "out.csv")])
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("config error: filter_length * iterations is past ")
 
 
 @pytest.mark.parametrize("output", ["missing/dir/out.csv", "."])
-def test_qlms_run_unusable_output_fails_before_the_run(tmp_path, capsys,
-                                                       monkeypatch, output):
+def test_qlms_run_unusable_output_fails_before_the_run(tmp_path, monkeypatch,
+                                                       output):
     def no_run(cfg):
         raise AssertionError("the run started")
 
     monkeypatch.setattr("quatgrad.qlms.run_system_identification", no_run)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(GOOD_CONFIG)
-    code, out, err = run_cli(capsys, "qlms-run", str(cfg_path),
-                             str(tmp_path / output))
+    code, out, err = run_main(["qlms-run", str(cfg_path),
+                               str(tmp_path / output)])
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("output error: ") and err.count("\n") == 1
 
@@ -770,16 +753,15 @@ def _qlms_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_qlms_configs())
 def test_qlms_run_configs_never_raise(text):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(text)
-        code = main(["qlms-run", str(cfg_path), str(Path(tmp) / "out.csv")])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err.getvalue()
+        code, out, err = run_main(["qlms-run", str(cfg_path),
+                                   str(Path(tmp) / "out.csv")])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err
     if code == EXIT_OK:
-        final = float(out.getvalue().split("final weight error norm:")[1])
+        final = float(out.split("final weight error norm:")[1])
         assert math.isfinite(final)
 
 
@@ -799,19 +781,17 @@ def test_qlms_run_exit_0_writes_only_finite_values(m, mu, iterations,
             f"noise_power={noise_power!r}\nseed={seed}\n")
     if weights is not None:
         text += f"true_weights={';'.join(weights[:m])}\n"
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(text)
         out_path = Path(tmp) / "out.csv"
-        code = main(["qlms-run", str(cfg_path), str(out_path)])
+        code, _, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
         if code == EXIT_OK:
             se, we = read_record_csv(out_path)
             assert len(se) == len(we) == iterations
             assert all(map(math.isfinite, se + we)), text
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err.getvalue()
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err
 
 
 # -- real process end to end -----------------------------------------------------
@@ -1003,21 +983,26 @@ def test_subprocess_validate_and_qlms(tmp_path):
     assert out.read_text().startswith("iteration,squared_error,weight_error_norm")
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("argv", [["eval-grad", "exp", "1+0i+0j+0k"],
-                                  ["validate", "algebra"]])
-def test_subprocess_closed_stdout_is_output_error(argv, unbuffered):
-    # the pipe's reading end is closed before the child starts, so its first
-    # write (unbuffered) or the flush of its buffer fails
+def _run_into_closed_pipe(argv, unbuffered):
+    """`python -m quatgrad <argv>` whose stdout is a pipe with its reading end
+    closed before the child starts; stderr is captured as text."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
             stderr=subprocess.PIPE, text=True, timeout=CHILD_TIMEOUT,
             env={**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["eval-grad", "exp", "1+0i+0j+0k"],
+                                  ["validate", "algebra"]])
+def test_subprocess_closed_stdout_is_output_error(argv, unbuffered):
+    # the first write (unbuffered) or the flush of the buffer fails
+    run = _run_into_closed_pipe(argv, unbuffered)
     assert run.returncode == EXIT_PARSE
     assert run.stderr.startswith("output error: ")
     assert run.stderr.count("\n") == 1, run.stderr
@@ -1037,22 +1022,14 @@ def test_subprocess_without_stdout_is_no_traceback():
 def test_subprocess_help_into_closed_stdout_is_output_error(argv, unbuffered):
     # argparse's own write of the help text drops an OSError; unbuffered,
     # that write is the one that fails, and it must reach main all the same
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        run = subprocess.run(
-            [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True, timeout=CHILD_TIMEOUT,
-            env={**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
-    finally:
-        os.close(write_end)
+    run = _run_into_closed_pipe(argv, unbuffered)
     assert run.returncode == EXIT_PARSE
     assert run.stderr.startswith("output error: "), run.stderr
     assert run.stderr.count("\n") == 1, run.stderr
 
 
-def test_help_goes_to_stdout_and_usage_errors_to_stderr(capsys):
-    code, out, err = run_cli(capsys, "--help")
+def test_help_goes_to_stdout_and_usage_errors_to_stderr():
+    code, out, err = run_main(["--help"])
     assert (code, err) == (EXIT_OK, "") and out.startswith("usage: quatgrad")
-    code, out, err = run_cli(capsys, "eval-grad")
+    code, out, err = run_main(["eval-grad"])
     assert (code, out) == (EXIT_PARSE, "") and "usage: quatgrad" in err

@@ -4,23 +4,21 @@ Each case is one `quatgrad` command line: the README `eval-grad`
 examples and more, answered and rejected, the four `--help` texts, five
 usage errors, `validate` at its default seed and at seed 7 (that one also
 in a child process with warnings as errors) and the README `qlms-run`
-(also with numpy's RuntimeWarnings as errors).  Its golden file under
+(also with numpy's RuntimeWarnings as errors, and with EncodingWarnings on
+and as errors).  Its golden file under
 tests/golden/ holds the command, the exit code, stdout and stderr (and for
 `qlms-run` the md5 of the CSV it writes);
 tests/golden/regenerate.py rewrites them from the current code, for a
 change that alters an output on purpose.
 """
 
-import contextlib
 import hashlib
-import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import README_CONFIG, run_child
-from quatgrad.cli import main
+from conftest import README_CONFIG, run_child, run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,11 +68,9 @@ QLMS_RUN = ("qlms_run", ["qlms-run", "run.cfg", "out.csv"])
 def render(argv) -> str:
     """The command, its exit code, stdout and stderr, as the golden holds
     them.  argparse wraps help to $COLUMNS, so the caller fixes it at 80."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    code, out, err = run_main(argv)
     return (f"$ quatgrad {' '.join(argv)}\nexit {code}\n"
-            f"-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}")
+            f"-- stdout\n{out}-- stderr\n{err}")
 
 
 def render_process(argv, directory, flags=()) -> str:
@@ -119,6 +115,15 @@ def test_readme_qlms_run_with_runtime_warnings_as_errors_matches_its_golden(
     name, argv = QLMS_RUN
     assert render_child(argv, tmp_path, ("-W", "error::RuntimeWarning")) == \
         expected(name)
+
+
+def test_readme_qlms_run_with_encoding_warnings_as_errors_matches_its_golden(
+        tmp_path):
+    # every open() of the config and the CSV names its encoding: the same
+    # output and the same CSV
+    name, argv = QLMS_RUN
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    assert render_child(argv, tmp_path, flags) == expected(name)
 
 
 def test_validate_with_warnings_as_errors_matches_its_golden(tmp_path):

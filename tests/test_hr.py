@@ -573,6 +573,22 @@ def test_chain_rule_second_matches_first(rng):
         assert grad_dist(via1, via2) <= 1e-11
 
 
+def test_chain_rule_second_on_the_right_vs_jets(rng):
+    # the right side of chain_rule_second, against the jets of f(g) = g^2
+    for _ in range(50):
+        q = rand_quat(rng)
+        a, b, c = rand_quat(rng), rand_quat(rng), rand_quat(rng)
+        g_jet = a * jet_seed(q) * b + c * jet_seed(q) * jet_seed(q)
+        f_of = lambda jet: jet * jet
+        direct = right_from_real(f_of(g_jet).grad)
+        outer = f_of(jet_seed(g_jet.value))
+        via = chain_rule_second(outer.grad, chain_matrix_components(g_jet.grad),
+                                Side.RIGHT)
+        assert via.side is Side.RIGHT
+        scale = max(1.0, *(abs(p) for p in direct.as_tuple()))
+        assert grad_dist(direct, via) <= 1e-11 * scale
+
+
 def test_chain_rule_third(rng):
     for _ in range(50):
         q = rand_quat(rng)

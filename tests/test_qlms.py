@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import README_CONFIG, qdist, rand_quat
+from conftest import README_CONFIG, qdist, rand_quat, run_main
 from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       FilterState,
                       LengthMismatch, ONE, QI, QJ, QK, Quaternion,
@@ -17,7 +17,6 @@ from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       predict, read_record_csv, real_valued_reduce,
                       run_system_identification, update_step,
                       write_record_csv)
-from quatgrad.cli import main
 from quatgrad.qlms import _BLOCK_ROWS, MAX_TAP_ITERATIONS
 
 
@@ -577,7 +576,7 @@ def test_config_bound_does_not_depend_on_how_sum_adds_floats(monkeypatch):
 
 
 def test_final_norm_line_does_not_depend_on_how_sum_adds_floats(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, monkeypatch):
     # qlms-run on the README config; sum() printed ...614e-16 under the
     # emulation
     cfg_path = tmp_path / "run.cfg"
@@ -590,8 +589,9 @@ def test_final_norm_line_does_not_depend_on_how_sum_adds_floats(
             with monkeypatch.context() as patch:
                 if emulate:
                     patch.setattr(builtins, "sum", _neumaier_sum)
-                assert main(argv) == 0
-            lines.append(capsys.readouterr().out.splitlines()[-1])
+                code, out, _ = run_main(argv)
+            assert code == 0
+            lines.append(out.splitlines()[-1])
     assert lines == ["final weight error norm: 1.7519707852371616e-16"] * 2
 
 
