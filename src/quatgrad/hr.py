@@ -40,7 +40,7 @@ class Side(Enum):
     RIGHT = "right"
 
 
-_LEFT = Side.LEFT  # bound once: each Side.LEFT is a class attribute lookup
+_LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # bound once, not looked up per call
 
 
 class RealGradient(_Record):
@@ -181,14 +181,24 @@ def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
     )
 
 
-#: Left restricted HR gradient: units multiply each partial from the right.
-left_from_real = partial(hr_from_real, side=Side.LEFT)
-#: Right restricted HR gradient: units multiply each partial from the left.
-right_from_real = partial(hr_from_real, side=Side.RIGHT)
-#: Inverse of left_from_real; rejects a right gradient.
-real_from_left = partial(_real_from_hr, side=Side.LEFT)
-#: Inverse of right_from_real; rejects a left gradient.
-real_from_right = partial(_real_from_hr, side=Side.RIGHT)
+def left_from_real(g: RealGradient) -> HRGradient:
+    """Left restricted HR gradient: units multiply each partial from the right."""
+    return hr_from_real(g, _LEFT)
+
+
+def right_from_real(g: RealGradient) -> HRGradient:
+    """Right restricted HR gradient: units multiply each partial from the left."""
+    return hr_from_real(g, _RIGHT)
+
+
+def real_from_left(h: HRGradient) -> RealGradient:
+    """Inverse of left_from_real; rejects a right gradient."""
+    return _real_from_hr(h, _LEFT)
+
+
+def real_from_right(h: HRGradient) -> RealGradient:
+    """Inverse of right_from_real; rejects a left gradient."""
+    return _real_from_hr(h, _RIGHT)
 
 
 def differential(h: HRGradient, dq: Quaternion) -> Quaternion:

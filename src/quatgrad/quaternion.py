@@ -14,9 +14,10 @@ quadruple, the polar decomposition q = a + v*vhat, and a text form
 type: exp, ln, tanh and (q - c)^n of a quaternion live in regular.
 
 Every Quaternion is built by _raw, the one finiteness check (it raises
-NonFiniteComponent).  Public construction, Quaternion(a, b, c, d), is
-_raw over float() of each component; arithmetic results call _raw
-directly, since their components are Python floats already.
+NonFiniteComponent); _check is that check for four floats that are not
+built.  Public construction, Quaternion(a, b, c, d), is _raw over float()
+of each component; arithmetic results call _raw directly, since their
+components are Python floats already.
 random_quaternion is the one standard-normal sampler.
 """
 
@@ -244,8 +245,8 @@ class Quaternion(_Record):
 _set_a, _set_b, _set_c, _set_d = Quaternion._setters
 
 
-def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
-    """A Quaternion from four Python floats, without the float() coercion.
+def _check(a: float, b: float, c: float, d: float) -> None:
+    """_raw's finiteness check of four Python floats, building nothing.
 
     x * 0.0 is +-0.0 for finite x and nan for inf or nan, so the one sum
     below is nonzero exactly when a component is not finite; the error then
@@ -254,6 +255,14 @@ def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
     if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
         x = next(x for x in (a, b, c, d) if not math.isfinite(x))
         raise NonFiniteComponent(f"non-finite quaternion component: {x!r}")
+
+
+def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
+    """A Quaternion from four Python floats, without the float() coercion,
+    checked by _check; its test is written out here, so a finite build
+    makes no call."""
+    if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
+        _check(a, b, c, d)
     q = _new(Quaternion)
     _set_a(q, a)
     _set_b(q, b)

@@ -42,7 +42,7 @@ import math
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_dot
 from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _NORMAL_MIN, _Record,
-                         _new, _raw, power_by_squaring)
+                         _check, _new, _raw, power_by_squaring)
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -240,10 +240,18 @@ def _check_tanh(q: Quaternion) -> None:
 
 
 def _zpow(z: complex, n: int) -> complex:
-    """z^n by squaring: past |n| = 100 CPython's z ** n takes the polar form,
-    whose phase error ~ n pi 2^-53 swamps Im z^n next to the negative real
-    axis.  Inverted first for n < 0 (z ** n is nan once z^-n overflows)."""
-    return power_by_squaring(1 / z if n < 0 else z, abs(n), 1 + 0j)
+    """z^n by squaring, inverted first for n < 0 (z ** n is nan once z^-n
+    overflows).  Up to |n| = 100 CPython's z ** |n| is c_powu, the products
+    of power_by_squaring in its order, in C; past it z ** n takes the polar
+    form, whose phase error ~ n pi 2^-53 swamps Im z^n next to the negative
+    real axis, and on overflow it raises: power_by_squaring takes both."""
+    base, m = (1 / z if n < 0 else z), abs(n)
+    if m <= 100:
+        try:
+            return base ** m
+        except OverflowError:
+            pass
+    return power_by_squaring(base, m, 1 + 0j)
 
 
 def _sech_sq(z: complex) -> complex:
@@ -257,6 +265,16 @@ def _sech_sq(z: complex) -> complex:
     e = e * e
     s = 1 + e
     return 4 * e / (s * s)
+
+
+def _axis4(w: complex, qt: Quaternion,
+           v: float) -> tuple[float, float, float, float]:
+    """Re w + vhat Im w on qt's axis, as four floats; Re w alone at v = 0,
+    where the domain checks leave Im F(qt_a) = 0."""
+    if v == 0.0:
+        return w.real, 0.0, 0.0, 0.0
+    f = w.imag / v
+    return w.real, f * qt.b, f * qt.c, f * qt.d
 
 
 _SUBNORMAL_SLACK = 8 * 5e-324  # eight steps of the smallest subnormal
@@ -333,13 +351,8 @@ class Elementary(_Record, compared=("kind", "n", "center")):
 
     @staticmethod
     def _on_axis(w: complex, qt: Quaternion, v: float) -> Quaternion:
-        """Re w + vhat Im w on qt's axis; Re w alone at v = 0, where the
-        domain checks leave Im F(qt_a) = 0.  Its inputs are Python floats,
-        so _raw builds it, checked finite like public construction."""
-        if v == 0.0:
-            return _raw(w.real, 0.0, 0.0, 0.0)
-        f = w.imag / v
-        return _raw(w.real, f * qt.b, f * qt.c, f * qt.d)
+        """_axis4 built by _raw, checked finite like public construction."""
+        return _raw(*_axis4(w, qt, v))
 
     def value(self, q: Quaternion) -> Quaternion:
         qt, v, z = self._at(q)
@@ -355,10 +368,11 @@ class Elementary(_Record, compared=("kind", "n", "center")):
         qt, v, z = self._at(q)
         w, df = self.F(z), self.dF(z)
         ratio = _ratio(w, df, v)
-        p = self._on_axis(df, qt, v)
+        pa, pb, pc, pd = _axis4(df, qt, v)
+        _check(pa, pb, pc, pd)  # raises if F'(z) on qt's axis overflows
         # (p + Quaternion(ratio)) * 0.5 on floats; + 0.0 fixes signs of zero
-        return _raw((p.a + ratio) * 0.5, (p.b + 0.0) * 0.5,
-                    (p.c + 0.0) * 0.5, (p.d + 0.0) * 0.5)
+        return _raw((pa + ratio) * 0.5, (pb + 0.0) * 0.5,
+                    (pc + 0.0) * 0.5, (pd + 0.0) * 0.5)
 
     def real_derivative(self, x: float) -> float:
         """f'(x) in the ordinary real-calculus sense."""
@@ -377,15 +391,15 @@ class Elementary(_Record, compared=("kind", "n", "center")):
 
         and at v = 0 the limits F'(qt_a) and F'(qt_a) e_u.  The grouping
         keeps every factor bounded as v -> 0, where (A - C)/v^2 would
-        underflow.  The value is formed before F' is evaluated: it is an
-        error here too when it overflows.  For v > 0 the partials are
-        written out on floats with the Quaternion form's products and sums
-        in its order, zero terms included, so every bit and sign of zero is
-        the same.
+        underflow.  The value's floats are checked, not built, before F' is
+        evaluated: it is an error here too when it overflows.  For v > 0
+        the partials are written out on floats with the Quaternion form's
+        products and sums in its order, zero terms included, so every bit
+        and sign of zero is the same.
         """
         qt, v, z = self._at(q)
         w = self.F(z)
-        self._on_axis(w, qt, v)  # raises if the value overflows
+        _check(*_axis4(w, qt, v))  # raises if the value overflows
         df = self.dF(z)
         if v == 0.0:
             d = df.real

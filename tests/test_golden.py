@@ -24,10 +24,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # (file name, argv): every eval-grad line of README.md, a point after "--",
 # three rejections (exit 2 twice, exit 1 once), points that start with "-."
-# and "-0." with and without "--", each --help, five usage errors
-# (argparse's "invalid choice" texts are left out: their quoting differs
-# between Python versions; a second "--" is quatgrad's own) and validate's
-# every suite at two seeds
+# and "-0." with and without "--", two powers past the squares of the
+# README examples (n = -3 with a center on the right side, n = 12), each
+# --help, five usage errors (argparse's "invalid choice" texts are left
+# out: their quoting differs between Python versions; a second "--" is
+# quatgrad's own) and validate's every suite at two seeds
 CASES = [
     ("eval_grad_power2", ["eval-grad", "power:2", "1+2i+3j+4k"]),
     ("eval_grad_exp_right", ["eval-grad", "exp", "0.3+0.4i+0j+0k",
@@ -46,6 +47,10 @@ CASES = [
                                              "-0.5+0i+0j+0k"]),
     ("eval_grad_exp_minus_zero_point_five_dashes", ["eval-grad", "exp", "--",
                                                     "-0.5+0i+0j+0k"]),
+    ("eval_grad_power_minus3_center_right", [
+        "eval-grad", "power:-3:0.5-0.25i+0j+0.5k", "--side", "right",
+        "1+2i-1j+0.5k"]),
+    ("eval_grad_power12", ["eval-grad", "power:12", "0.9+0.3i-0.2j+0.1k"]),
     ("help", ["--help"]),
     ("help_eval_grad", ["eval-grad", "--help"]),
     ("help_validate", ["validate", "--help"]),

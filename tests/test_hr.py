@@ -165,6 +165,18 @@ def test_real_from_left_side_mismatch(rng):
         real_from_left(h)
 
 
+@pytest.mark.parametrize("side", list(Side))
+def test_side_named_conversions_take_no_side_keyword(rng, side):
+    # the side is the name's: no keyword switches left_from_real to a
+    # right gradient, or lets real_from_left accept one
+    g = RealGradient(*(rand_quat(rng) for _ in range(4)))
+    h = HRGradient(*g.as_tuple(), side)
+    for convert, arg in ((left_from_real, g), (right_from_real, g),
+                         (real_from_left, h), (real_from_right, h)):
+        with pytest.raises(TypeError):
+            convert(arg, side=side)
+
+
 @given(gradients)
 def test_round_trip_left(g):
     assert grad_dist(real_from_left(left_from_real(g)), g) \

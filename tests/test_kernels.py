@@ -12,6 +12,7 @@ through these kernels, so an exact match here (repr equality, which tells
 import math
 import operator
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +159,22 @@ def test_real_gradient_matches_spec(fn, q):
 @example(Elementary.ln(), Quaternion(-2.0, -0.0, -1e-300, 0.0))
 @example(Elementary.exp(), Quaternion(709.7, 1e-5, 0.0, 0.0))  # overflows
 def test_hr_derivative_matches_spec(fn, q):
+    assert outcome(fn.hr_derivative, q) == outcome(spec_hr_derivative, fn, q)
+
+
+# points past the strategies' magnitudes where the value or F'(z) on qt's
+# axis overflows (1/|q|^2 for ln, a v = 1e-320 quotient, 1/qt^2 for
+# power(-1), 4 qt^3 at 1e130, where F'(z)'s inf plus the ratio is nan):
+# the kernels check these floats without building them, and must raise
+# what the spec's built Quaternions raise, message included
+@pytest.mark.parametrize("fn, q", [
+    (Elementary.ln(), Quaternion(1e-160, 1e-160, 0.0, 0.0)),
+    (Elementary.ln(), Quaternion(-1.0, 1e-320, 0.0, 0.0)),
+    (Elementary.power(-1), Quaternion(1e-200, 1e-200, 0.0, 0.0)),
+    (Elementary.power(4), Quaternion(1e130, 1.0, 0.0, 0.0)),
+], ids=["ln-tiny", "ln-next-to-the-cut", "power-1-tiny", "power4-huge"])
+def test_overflowing_axis_map_raises_as_the_spec(fn, q):
+    assert outcome(fn.real_gradient, q) == outcome(spec_real_gradient, fn, q)
     assert outcome(fn.hr_derivative, q) == outcome(spec_hr_derivative, fn, q)
 
 

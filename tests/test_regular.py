@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import qdist, rand_pure_unit, rand_quat, rand_quat_in_shell, tanh_safe
@@ -14,7 +14,8 @@ from quatgrad import (DomainError, Elementary, FDConfig, ONE, OutsideAnnulus,
                       ln_real_gradient, power_derivative,
                       power_derivative_oracle, real_axis_limit_check,
                       symmetric_ratio, tanh_derivative, tanh_q, tanh_series)
-from quatgrad.regular import _tangent_numbers
+from quatgrad.quaternion import power_by_squaring
+from quatgrad.regular import _tangent_numbers, _zpow
 
 
 # -- symmetric ratio -----------------------------------------------------------
@@ -578,3 +579,31 @@ def test_minus_zero_center_differs_from_the_shortcut():
     assert repr(Elementary.power(3).value(q).b) == "-0.0"
     assert repr(Elementary.power(3, Quaternion(-0.0, -0.0, -0.0, -0.0))
                 .value(q).b) == "0.0"
+
+
+# -- _zpow: CPython's z ** |n| up to |n| = 100 --------------------------------
+
+def _zpow_spec(z, n):
+    return power_by_squaring(1 / z if n < 0 else z, abs(n), 1 + 0j)
+
+
+_ZPOW_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.builds(lambda x, e: x * 10.0 ** e, st.floats(-4.0, 4.0),
+              st.integers(-20, 20)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.builds(complex, _ZPOW_PARTS, _ZPOW_PARTS),
+       st.one_of(st.integers(-100, 100),
+                 st.sampled_from([-1000, -101, 101, 1000])))
+@example(0j, -1)  # ZeroDivisionError in both
+@example(complex(1e300, 1e300), 3)  # z ** 3 raises OverflowError
+@example(complex(5e-324, 0.0), -2)  # 1 / z = inf + 0j, then nan parts
+@example(complex(-1.0, 1e-300), 0)
+def test_zpow_is_power_by_squaring(z, n):
+    # up to |n| = 100 _zpow is CPython's c_powu, whose products and their
+    # order must be power_by_squaring's on every Python, nan and inf
+    # parts and signed zeros included
+    assert _outcome(lambda z: _zpow(z, n), z) == \
+        _outcome(lambda z: _zpow_spec(z, n), z)
