@@ -349,14 +349,9 @@ class Elementary(_Record, compared=("kind", "n", "center")):
         v = qt.imag_norm()
         return qt, v, complex(qt.a, v)
 
-    @staticmethod
-    def _on_axis(w: complex, qt: Quaternion, v: float) -> Quaternion:
-        """_axis4 built by _raw, checked finite like public construction."""
-        return _raw(*_axis4(w, qt, v))
-
     def value(self, q: Quaternion) -> Quaternion:
         qt, v, z = self._at(q)
-        return self._on_axis(self.F(z), qt, v)
+        return _raw(*_axis4(self.F(z), qt, v))
 
     def hr_derivative(self, q: Quaternion) -> Quaternion:
         """d1, identical for the left and right operators.

@@ -11,7 +11,8 @@ import pytest
 import quatgrad
 from quatgrad import Quaternion
 from quatgrad.cli import main
-# the test modules import these from here; they are validate's own samplers
+# the test modules import these from here: validate's samplers and its pole
+# test; random_quaternion is quaternion's sampler, which validate re-exports
 from quatgrad.validate import random_pure_unit as rand_pure_unit
 from quatgrad.validate import random_quaternion as rand_quat
 from quatgrad.validate import random_quaternion_in_shell as rand_quat_in_shell
@@ -32,10 +33,11 @@ CHILD_TIMEOUT = 60
 
 
 def run_child(*args, flags=(), **kwargs) -> subprocess.CompletedProcess:
-    """`python <flags> <args>` on this tree, its stdout and stderr as text."""
+    """`python <flags> <args>` on this tree, its stdout and stderr as UTF-8
+    text."""
     return subprocess.run([sys.executable, *flags, *args], capture_output=True,
-                          text=True, env=CHILD_ENV, timeout=CHILD_TIMEOUT,
-                          **kwargs)
+                          encoding="utf-8", env=CHILD_ENV,
+                          timeout=CHILD_TIMEOUT, **kwargs)
 
 
 def run_main(argv) -> tuple[int, str, str]:
@@ -44,6 +46,23 @@ def run_main(argv) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def write_config(directory, text=README_CONFIG, name="run.cfg") -> Path:
+    """`text` written as UTF-8 to `directory`/`name`; the file's path."""
+    path = Path(directory) / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def run_qlms(directory, text, output="out.csv") -> tuple[int, str, str, Path]:
+    """`quatgrad qlms-run` in this process, from `text` written to
+    `directory`/run.cfg into `directory`/`output`: its exit code, stdout,
+    stderr and the output's path."""
+    out_path = Path(directory) / output
+    code, out, err = run_main(["qlms-run", str(write_config(directory, text)),
+                               str(out_path)])
+    return code, out, err, out_path
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import types
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CHILD_ENV, CHILD_TIMEOUT, README_CONFIG, qdist,
-                      run_child, run_main)
+                      run_child, run_main, run_qlms, write_config)
 import quatgrad
 from quatgrad import cli
 from quatgrad import (Quaternion, StabilityWarning, ln_derivative,
@@ -334,7 +333,7 @@ def test_every_short_qlms_run_line_ends_in_a_typed_outcome(tmp_path,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
     (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfeM=4\n")
-    (tmp_path / "bad.cfg").write_text("M=4 mu=0.05\n")
+    write_config(tmp_path, "M=4 mu=0.05\n", "bad.cfg")
     usage_error = _usage_error("qlms-run")
     help_text = _outcome(["qlms-run", "--help"])[1]
     faults = []
@@ -364,7 +363,7 @@ def test_double_dash_as_a_word_is_a_usage_error(tmp_path, monkeypatch, argv):
     # runs, and qlms-run's config is good but the line neither runs nor
     # writes
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text(GOOD_CONFIG)
+    write_config(tmp_path, GOOD_CONFIG)
     with mock.patch("quatgrad.validate.run_suites", return_value=[]):
         code, out, err = _outcome(argv)
     assert (code, out) == (EXIT_PARSE, "")
@@ -486,10 +485,7 @@ GOOD_CONFIG = README_CONFIG[:README_CONFIG.index("true_weights=")]
 
 
 def test_qlms_run_converges(tmp_path, recwarn):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_CONFIG)
-    out_path = tmp_path / "out.csv"
-    code, out, _ = run_main(["qlms-run", str(cfg_path), str(out_path)])
+    code, out, _, out_path = run_qlms(tmp_path, GOOD_CONFIG)
     assert code == EXIT_OK
     assert "final weight error norm" in out
     final = float(out.split("final weight error norm:")[1])
@@ -499,15 +495,12 @@ def test_qlms_run_converges(tmp_path, recwarn):
 
 
 def test_qlms_run_failed_write_is_output_error(tmp_path, recwarn, monkeypatch):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_CONFIG.replace("iterations=2000", "iterations=5"))
-
     def full_disk(record, path):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(quatgrad.qlms, "write_record_csv", full_disk)
-    code, out, err = run_main(["qlms-run", str(cfg_path),
-                               str(tmp_path / "out.csv")])
+    code, out, err, _ = run_qlms(
+        tmp_path, GOOD_CONFIG.replace("iterations=2000", "iterations=5"))
     assert (code, out) == (EXIT_PARSE, "")
     assert err.splitlines()[-1] == \
         "output error: [Errno 28] No space left on device"
@@ -515,12 +508,11 @@ def test_qlms_run_failed_write_is_output_error(tmp_path, recwarn, monkeypatch):
 
 
 def test_qlms_run_csv_matches_library_run(tmp_path, recwarn):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_CONFIG.replace("iterations=2000", "iterations=50"))
-    out_path = tmp_path / "out.csv"
-    code, _, _ = run_main(["qlms-run", str(cfg_path), str(out_path)])
+    code, _, _, out_path = run_qlms(
+        tmp_path, GOOD_CONFIG.replace("iterations=2000", "iterations=50"))
     assert code == EXIT_OK
-    record = run_system_identification(load_experiment_config(cfg_path))
+    record = run_system_identification(
+        load_experiment_config(tmp_path / "run.cfg"))
     se, we = read_record_csv(out_path)
     assert se == record.squared_error
     assert we == record.weight_error_sq
@@ -528,13 +520,10 @@ def test_qlms_run_csv_matches_library_run(tmp_path, recwarn):
 
 def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, recwarn):
     # the README config: its final error norm is about 1.75e-16
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(README_CONFIG)
-    code, out, _ = run_main(["qlms-run", str(cfg_path),
-                             str(tmp_path / "out.csv")])
+    code, out, _, _ = run_qlms(tmp_path, README_CONFIG)
     assert code == EXIT_OK
     printed = float(out.split("final weight error norm:")[1])
-    cfg = load_experiment_config(cfg_path)
+    cfg = load_experiment_config(tmp_path / "run.cfg")
     record = run_system_identification(cfg)
     exact = math.sqrt(math.fsum(
         x * x for w, wt in zip(record.final_weights, cfg.true_weights)
@@ -544,21 +533,17 @@ def test_qlms_run_prints_the_final_weight_error_norm(tmp_path, recwarn):
 
 
 def test_qlms_run_explicit_weights(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "M=2\nmu=0.02\niterations=400\nnoise_power=0.0\nseed=7\n"
-        "true_weights=1+0i+0j+0k;0+0i+1j+0k\n")
-    cfg = load_experiment_config(cfg_path)
+    code = run_qlms(tmp_path,
+                    "M=2\nmu=0.02\niterations=400\nnoise_power=0.0\nseed=7\n"
+                    "true_weights=1+0i+0j+0k;0+0i+1j+0k\n")[0]
+    cfg = load_experiment_config(tmp_path / "run.cfg")
     assert cfg.true_weights == (Quaternion(1), Quaternion(0, 0, 1, 0))
-    out_path = tmp_path / "out.csv"
-    assert run_main(["qlms-run", str(cfg_path), str(out_path)])[0] == EXIT_OK
+    assert code == EXIT_OK
 
 
 def test_qlms_run_divergence_exit(tmp_path, recwarn):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_CONFIG.replace("mu=0.05", "mu=5.0"))
-    out_path = tmp_path / "out.csv"
-    code, _, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
+    code, _, err, out_path = run_qlms(
+        tmp_path, GOOD_CONFIG.replace("mu=0.05", "mu=5.0"))
     assert code == EXIT_DIVERGED
     assert "diverged" in err
     assert out_path.exists()  # truncated record still written
@@ -566,11 +551,8 @@ def test_qlms_run_divergence_exit(tmp_path, recwarn):
 
 def test_qlms_run_overflow_is_divergence(tmp_path, recwarn):
     # mu * e x* overflows to inf in the first update
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "M=4\nmu=1e308\niterations=50\nnoise_power=0.01\nseed=3\n")
-    out_path = tmp_path / "out.csv"
-    code, out, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
+    code, out, err, out_path = run_qlms(
+        tmp_path, "M=4\nmu=1e308\niterations=50\nnoise_power=0.01\nseed=3\n")
     assert code == EXIT_DIVERGED
     assert err.startswith("diverged: ")
     assert out == f"wrote {out_path} (1 iterations)\n"
@@ -596,18 +578,12 @@ def test_qlms_run_missing_file(tmp_path):
     "M=4\nmu=0.05\niterations=10\nnoise_power=inf\nseed=1\n",
 ])
 def test_qlms_run_bad_configs(tmp_path, bad):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(bad)
-    code, _, _ = run_main(["qlms-run", str(cfg_path),
-                           str(tmp_path / "out.csv")])
-    assert code == EXIT_PARSE
+    assert run_qlms(tmp_path, bad)[0] == EXIT_PARSE
 
 
 def test_config_blank_lines_between_keys_are_skipped(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("M=4\n\nmu=0.05\n   \niterations=10\n"
-                        "noise_power=0\n\nseed=1\n")
-    cfg = load_experiment_config(cfg_path)
+    cfg = load_experiment_config(write_config(
+        tmp_path, "M=4\n\nmu=0.05\n   \niterations=10\nnoise_power=0\n\nseed=1\n"))
     assert (cfg.filter_length, cfg.step_size, cfg.iterations,
             cfg.noise_power, cfg.rng_seed) == (4, 0.05, 10, 0.0, 1)
 
@@ -619,10 +595,7 @@ def test_config_blank_lines_between_keys_are_skipped(tmp_path):
      "config error: line 5: duplicate key 'M'"),
 ])
 def test_qlms_run_config_line_errors(tmp_path, text, message):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(text)
-    out_path = tmp_path / "out.csv"
-    code, out, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
+    code, out, err, out_path = run_qlms(tmp_path, text)
     assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
     assert not out_path.exists()
 
@@ -640,31 +613,23 @@ def test_qlms_run_config_line_errors(tmp_path, text, message):
 ], ids=["seed", "mu", "true_weights"])
 def test_qlms_run_config_value_errors_name_key_and_line(tmp_path, text,
                                                         message):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(text)
-    out_path = tmp_path / "out.csv"
-    code, out, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
+    code, out, err, out_path = run_qlms(tmp_path, text)
     assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
     assert not out_path.exists()
 
 
 def test_qlms_run_negative_seed_with_weights(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
-                        "seed=-1\ntrue_weights=1+0i+0j+0k\n")
-    code, out, err = run_main(["qlms-run", str(cfg_path),
-                               str(tmp_path / "out.csv")])
+    code, out, err, _ = run_qlms(
+        tmp_path, "M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
+                  "seed=-1\ntrue_weights=1+0i+0j+0k\n")
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("config error: ") and "seed" in err
 
 
 def test_qlms_run_negative_seed_without_weights(tmp_path):
     # the same message as with weights: the seed is checked before the draw
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("M=1\nmu=0.02\niterations=10\nnoise_power=0.0\n"
-                        "seed=-1\n")
-    code, out, err = run_main(["qlms-run", str(cfg_path),
-                               str(tmp_path / "out.csv")])
+    code, out, err, _ = run_qlms(
+        tmp_path, "M=1\nmu=0.02\niterations=10\nnoise_power=0.0\nseed=-1\n")
     assert (code, out) == (EXIT_PARSE, "")
     assert err == ("config error: rng_seed must be an integer >= 0, "
                    "got -1\n")
@@ -672,11 +637,8 @@ def test_qlms_run_negative_seed_without_weights(tmp_path):
 
 def test_qlms_run_noise_past_squared_divergence_limit(tmp_path):
     # noise_power = 1e308 ran with exit 0 and wrote inf into the CSV
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("M=1\nmu=0\niterations=50\nnoise_power=1e308\n"
-                        "seed=1\n")
-    code, out, err = run_main(["qlms-run", str(cfg_path),
-                               str(tmp_path / "out.csv")])
+    code, out, err, _ = run_qlms(
+        tmp_path, "M=1\nmu=0\niterations=50\nnoise_power=1e308\nseed=1\n")
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("config error: noise_power ")
 
@@ -699,10 +661,7 @@ def test_qlms_run_size_bound_fails_before_any_draw(tmp_path, monkeypatch,
 
     monkeypatch.setattr("numpy.random.default_rng", no_draw)
     monkeypatch.setattr("quatgrad.qlms.run_system_identification", no_draw)
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(config)
-    code, out, err = run_main(["qlms-run", str(cfg_path),
-                               str(tmp_path / "out.csv")])
+    code, out, err, _ = run_qlms(tmp_path, config)
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("config error: filter_length * iterations is past ")
 
@@ -714,10 +673,7 @@ def test_qlms_run_unusable_output_fails_before_the_run(tmp_path, monkeypatch,
         raise AssertionError("the run started")
 
     monkeypatch.setattr("quatgrad.qlms.run_system_identification", no_run)
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(GOOD_CONFIG)
-    code, out, err = run_main(["qlms-run", str(cfg_path),
-                               str(tmp_path / output)])
+    code, out, err, _ = run_qlms(tmp_path, GOOD_CONFIG, output)
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("output error: ") and err.count("\n") == 1
 
@@ -755,10 +711,7 @@ def _qlms_configs(draw):
 def test_qlms_run_configs_never_raise(text):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
-        cfg_path = Path(tmp) / "run.cfg"
-        cfg_path.write_text(text)
-        code, out, err = run_main(["qlms-run", str(cfg_path),
-                                   str(Path(tmp) / "out.csv")])
+        code, out, err, _ = run_qlms(tmp, text)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGED), err
     if code == EXIT_OK:
         final = float(out.split("final weight error norm:")[1])
@@ -783,10 +736,7 @@ def test_qlms_run_exit_0_writes_only_finite_values(m, mu, iterations,
         text += f"true_weights={';'.join(weights[:m])}\n"
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
-        cfg_path = Path(tmp) / "run.cfg"
-        cfg_path.write_text(text)
-        out_path = Path(tmp) / "out.csv"
-        code, _, err = run_main(["qlms-run", str(cfg_path), str(out_path)])
+        code, _, err, out_path = run_qlms(tmp, text)
         if code == EXIT_OK:
             se, we = read_record_csv(out_path)
             assert len(se) == len(we) == iterations
@@ -807,7 +757,8 @@ def test_subprocess_eval_grad_exit_codes():
 
 
 # what `import quatgrad` and eval-grad, answered or rejected, never load, one
-# group per reason; the test named after each group checks it
+# group per reason; test_subprocess_eval_grad_loads_none_of_the_unneeded_modules
+# checks every group at once, with and without site
 # the package imports fd and qlms (and qlms's csv) on first use, and eval-grad
 # uses neither; only qlms-run reads a file
 _FD_AND_QLMS = ("quatgrad.fd", "quatgrad.qlms", "csv")
@@ -875,50 +826,14 @@ def test_subprocess_eval_grad_loads_none_of_the_unneeded_modules(flags):
     assert run.out[15].startswith("usage: quatgrad eval-grad")
     assert run.out[-4:] == ["0", "['argparse', 'gettext', 'locale']", "False",
                             "a"]
-    assert [line.split(":")[0] for line in run.err[:2]] == [
-        "parse error", "domain error"]
-    assert run.err[2].startswith("usage: quatgrad validate")
-
-
-def test_subprocess_eval_grad_loads_no_numpy():
-    run = _import_run(())
-    assert not run.loaded & set(_NUMPY)
-    assert run.out[-2] == "False"  # after validate's usage error too
-
-
-@pytest.mark.parametrize("flags, unused", [
-    ((), _FD_AND_QLMS + _NUMPY),
-    # without site, whose start-up may import pathlib and typing itself
-    (("-S",), _FD_AND_QLMS + _SITE),
-])
-def test_subprocess_eval_grad_loads_neither_fd_nor_qlms(flags, unused):
-    run = _import_run(flags)
-    assert not run.loaded & set(unused)
+    assert run.err[0].startswith("parse error:")
     assert run.err[1].startswith("domain error:")
-
-
-@pytest.mark.parametrize("flags", [(), ("-S",)])
-def test_subprocess_eval_grad_loads_neither_dataclasses_nor_inspect(flags):
-    run = _import_run(flags)
-    assert not run.loaded & set(_DATACLASSES)
-    assert run.out[-1] == "a"
-
-
-@pytest.mark.parametrize("flags", [(), ("-S",)])
-def test_subprocess_eval_grad_loads_no_argparse(flags):
-    run = _import_run(flags)
-    assert not run.loaded & set(_ARGPARSE)
-    assert run.out[-4:-2] == ["0", "['argparse', 'gettext', 'locale']"]
-
-
-def test_subprocess_cli_import_loads_no_fractions():
-    assert not _import_run(()).loaded & set(_FRACTIONS)
+    assert run.err[2].startswith("usage: quatgrad validate")
 
 
 def test_subprocess_qlms_run_stability_warning_is_one_line(tmp_path):
     # the README config: mu = 0.05 is past the guard 0.03115, yet converges
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CONFIG)
+    cfg = write_config(tmp_path)
     out = tmp_path / "out.csv"
     run = run_child("-m", "quatgrad", "qlms-run", str(cfg), str(out))
     assert run.returncode == EXIT_OK, run.stderr
@@ -930,8 +845,7 @@ def test_subprocess_qlms_run_stability_warning_is_one_line(tmp_path):
 
 def test_subprocess_qlms_run_warning_as_error_is_one_line(tmp_path):
     # -W error raises the StabilityWarning: a config error, not a traceback
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CONFIG)
+    cfg = write_config(tmp_path)
     out = tmp_path / "out.csv"
     run = run_child("-m", "quatgrad", "qlms-run", str(cfg), str(out),
                     flags=("-W", "error"))
@@ -940,13 +854,12 @@ def test_subprocess_qlms_run_warning_as_error_is_one_line(tmp_path):
     assert len(run.stderr.splitlines()) == 1
     assert run.stderr.startswith("config error: step size 0.05 exceeds "
                                  "the stability guard")
-    assert run.stdout == "" and out.read_text() == ""
+    assert run.stdout == "" and out.read_text(encoding="utf-8") == ""
 
 
 def test_subprocess_qlms_run_warning_as_error_keeps_existing_output(tmp_path):
     # the output check before the run must not empty a CSV already there
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CONFIG)
+    cfg = write_config(tmp_path)
     out = tmp_path / "out.csv"
     argv = ["-m", "quatgrad", "qlms-run", str(cfg), str(out)]
     first = run_child(*argv)
@@ -962,8 +875,7 @@ def test_subprocess_qlms_run_warning_as_error_keeps_existing_output(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_subprocess_qlms_run_into_a_full_device_is_output_error(tmp_path):
     # the path check opens /dev/full; the CSV's write fails with ENOSPC
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CONFIG)
+    cfg = write_config(tmp_path)
     run = run_child("-m", "quatgrad", "qlms-run", str(cfg), "/dev/full")
     assert (run.returncode, run.stdout) == (EXIT_PARSE, ""), run.stderr
     assert "Traceback" not in run.stderr
@@ -975,23 +887,25 @@ def test_subprocess_qlms_run_into_a_full_device_is_output_error(tmp_path):
 def test_subprocess_validate_and_qlms(tmp_path):
     val = run_child("-m", "quatgrad", "validate", "series")
     assert val.returncode == EXIT_OK, val.stdout + val.stderr
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("M=3\nmu=0.02\niterations=100\nnoise_power=0.0\nseed=5\n")
+    cfg = write_config(
+        tmp_path, "M=3\nmu=0.02\niterations=100\nnoise_power=0.0\nseed=5\n",
+        "c.cfg")
     out = tmp_path / "o.csv"
     run = run_child("-m", "quatgrad", "qlms-run", str(cfg), str(out))
     assert run.returncode == EXIT_OK, run.stdout + run.stderr
-    assert out.read_text().startswith("iteration,squared_error,weight_error_norm")
+    assert out.read_text(encoding="utf-8").startswith(
+        "iteration,squared_error,weight_error_norm")
 
 
 def _run_into_closed_pipe(argv, unbuffered):
     """`python -m quatgrad <argv>` whose stdout is a pipe with its reading end
-    closed before the child starts; stderr is captured as text."""
+    closed before the child starts; stderr is captured as UTF-8 text."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         return subprocess.run(
             [sys.executable, "-m", "quatgrad", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True, timeout=CHILD_TIMEOUT,
+            stderr=subprocess.PIPE, encoding="utf-8", timeout=CHILD_TIMEOUT,
             env={**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered})
     finally:
         os.close(write_end)
@@ -1012,8 +926,8 @@ def test_subprocess_without_stdout_is_no_traceback():
     # with fd 1 closed, sys.stdout is None and print writes nothing
     run = subprocess.run(
         [sys.executable, "-m", "quatgrad", "eval-grad", "exp", "1+0i+0j+0k"],
-        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
-        env=CHILD_ENV, timeout=CHILD_TIMEOUT)
+        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+        encoding="utf-8", env=CHILD_ENV, timeout=CHILD_TIMEOUT)
     assert (run.returncode, run.stderr) == (EXIT_OK, "")
 
 

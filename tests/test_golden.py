@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import README_CONFIG, run_child, run_main
+from conftest import run_child, run_main, write_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,10 +88,9 @@ def render_process(argv, directory, flags=()) -> str:
 def render_child(argv, directory, flags=()) -> str:
     """render_process() with README's config as run.cfg, plus the md5 of the
     out.csv it writes."""
-    directory = Path(directory)
-    (directory / "run.cfg").write_text(README_CONFIG, encoding="utf-8")
+    write_config(directory)
     text = render_process(argv, directory, flags)
-    md5 = hashlib.md5((directory / "out.csv").read_bytes()).hexdigest()
+    md5 = hashlib.md5((Path(directory) / "out.csv").read_bytes()).hexdigest()
     return f"{text}-- md5 out.csv\n{md5}\n"
 
 

@@ -50,7 +50,7 @@ def spec_real_from_hr(h, side):
 def spec_real_gradient(fn, q):
     qt, v, z = fn._at(q)
     w = fn.F(z)
-    fn._on_axis(w, qt, v)  # raises if the value overflows
+    spec_on_axis(w, qt, v)  # raises if the value overflows
     df = fn.dF(z)
     if v == 0.0:
         d = df.real

@@ -6,7 +6,7 @@ from types import ModuleType
 
 import pytest
 
-from conftest import run_child
+from conftest import run_child, write_config
 import quatgrad
 
 
@@ -27,7 +27,8 @@ def test_no_module_imports_typing_or_pathlib():
     # neither module is imported by a process that uses the package
     found = []
     for path in sorted(Path(quatgrad.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text, str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -45,7 +46,8 @@ def test_eval_grad_modules_import_dataclasses_only_where_used():
     found = []
     for name in ("quaternion", "hr", "regular"):
         path = Path(quatgrad.__file__).parent / f"{name}.py"
-        for node in ast.parse(path.read_text(), str(path)).body:
+        text = path.read_text(encoding="utf-8")
+        for node in ast.parse(text, str(path)).body:
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -144,8 +146,8 @@ def test_unknown_attribute_is_an_attribute_error():
 
 
 def test_patched_write_record_csv_reaches_qlms_run(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("M=2\nmu=0.01\niterations=5\nnoise_power=0\nseed=1\n")
+    cfg = write_config(tmp_path,
+                       "M=2\nmu=0.01\niterations=5\nnoise_power=0\nseed=1\n")
     out = tmp_path / "out.csv"
     stdout = _fresh(
         "import quatgrad, quatgrad.cli\n"

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import README_CONFIG, qdist, rand_quat, run_main
+from conftest import README_CONFIG, qdist, rand_quat, run_qlms
 from quatgrad import (ConvergenceRecord, DIVERGENCE_LIMIT, ExperimentConfig,
                       FilterState,
                       LengthMismatch, ONE, QI, QJ, QK, Quaternion,
@@ -579,9 +579,6 @@ def test_final_norm_line_does_not_depend_on_how_sum_adds_floats(
         tmp_path, monkeypatch):
     # qlms-run on the README config; sum() printed ...614e-16 under the
     # emulation
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(README_CONFIG)
-    argv = ["qlms-run", str(cfg_path), str(tmp_path / "out.csv")]
     lines = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
@@ -589,7 +586,7 @@ def test_final_norm_line_does_not_depend_on_how_sum_adds_floats(
             with monkeypatch.context() as patch:
                 if emulate:
                     patch.setattr(builtins, "sum", _neumaier_sum)
-                code, out, _ = run_main(argv)
+                code, out, _, _ = run_qlms(tmp_path, README_CONFIG)
             assert code == 0
             lines.append(out.splitlines()[-1])
     assert lines == ["final weight error norm: 1.7519707852371616e-16"] * 2
@@ -660,7 +657,7 @@ def test_csv_roundtrip(tmp_path):
     )
     path = tmp_path / "record.csv"
     write_record_csv(record, path)
-    text = path.read_text().splitlines()
+    text = path.read_text(encoding="utf-8").splitlines()
     assert text[0] == "iteration,squared_error,weight_error_norm"
     se, we = read_record_csv(path)
     assert se == record.squared_error
@@ -692,7 +689,7 @@ def test_csv_bytes_match_csv_writer(tmp_path, squared_error,
 
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
+    path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_record_csv(path)
 

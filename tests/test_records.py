@@ -3,9 +3,11 @@
 Quaternion, PolarForm, RealGradient, HRGradient, QJet, PowerSeriesFn and
 Elementary are frozen records: repr, == and hash see a fixed tuple of
 fields, assignment and deletion raise dataclasses.FrozenInstanceError,
-copy, deepcopy and pickle rebuild an equal value, and dataclasses.fields,
-replace and is_dataclass work on them.  These tests pin each of those,
-with the exact repr text, however the classes are written.
+copy, deepcopy and pickle (where no field holds a lambda) rebuild an equal
+value, each constructor takes its fields by position and by keyword, and
+dataclasses.fields, replace and is_dataclass work on them.  These tests
+pin each of those, with the exact repr text, however the classes are
+written.  Each record check lives here, not in the module's own tests.
 """
 
 import cmath
@@ -14,11 +16,12 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
-from quatgrad import (ONE, QI, QJ, ZERO, Elementary, HRGradient, PolarForm,
-                      PowerSeriesFn, QJet, Quaternion, RealGradient, Side,
-                      jet_seed, polar, tanh_q)
+from quatgrad import (ONE, QI, QJ, ZERO, Elementary, HRGradient,
+                      NonFiniteComponent, PolarForm, PowerSeriesFn, QJet,
+                      Quaternion, RealGradient, Side, jet_seed, polar, tanh_q)
 
 _Q = Quaternion(1.5, -0.0, 2.0, -3.25)
 _Q_REPR = "Quaternion(a=1.5, b=-0.0, c=2.0, d=-3.25)"
@@ -30,6 +33,8 @@ _QK_REPR = "Quaternion(a=0.0, b=0.0, c=0.0, d=1.0)"
 _GRAD = RealGradient(_Q, QI, ZERO, Quaternion(-0.0, 5e-324, -1e308, 0.5))
 _GRAD_REPR = (f"RealGradient(dA={_Q_REPR}, dB={_QI_REPR}, dC={_ZERO_REPR}, "
               "dD=Quaternion(a=-0.0, b=5e-324, c=-1e+308, d=0.5))")
+_HR = HRGradient(Quaternion(1.5, -0.0), QJ, Quaternion(-0.0, -0.0, -0.0, -0.0),
+                 ONE, Side.RIGHT)
 
 # (value, its repr, the fields that repr, == and hash see, every field in
 # order, whether it pickles: a record holding a lambda does not)
@@ -47,8 +52,7 @@ RECORDS = [
      "real_part imag_norm imag_axis argument",
      "real_part imag_norm imag_axis argument", True),
     (_GRAD, _GRAD_REPR, "dA dB dC dD", "dA dB dC dD", True),
-    (HRGradient(Quaternion(1.5, -0.0), QJ, Quaternion(-0.0, -0.0, -0.0, -0.0),
-                ONE, Side.RIGHT),
+    (_HR,
      "HRGradient(d1=Quaternion(a=1.5, b=-0.0, c=0.0, d=0.0), "
      f"dI={_QJ_REPR}, dJ=Quaternion(a=-0.0, b=-0.0, c=-0.0, d=-0.0), "
      f"dK={_ONE_REPR}, side=<Side.RIGHT: 'right'>)",
@@ -77,6 +81,9 @@ RECORDS = [
      "kind n center", "kind F dF check n center", False),
 ]
 IDS = [f"{type(r[0]).__name__}-{i}" for i, r in enumerate(RECORDS)]
+# how many leading fields a constructor needs where the rest have defaults;
+# every other record needs all of its fields
+_REQUIRED = {Quaternion: 1, PowerSeriesFn: 2, Elementary: 4}
 
 
 def _key(value, shown):
@@ -156,6 +163,7 @@ def test_dataclasses_fields_replace_and_is_dataclass(value, text, shown,
     assert [f.name for f in fields if f.repr] == shown.split()
     same = dataclasses.replace(value)
     assert type(same) is cls and repr(same) == text and same == value
+    _same_hash(same, value)
     first = names.split()[0]
     changed = dataclasses.replace(value, **{first: getattr(same, first)})
     assert changed == value
@@ -167,6 +175,14 @@ def test_dataclasses_fields_replace_and_is_dataclass(value, text, shown,
 def test_replace_changes_one_field_and_keeps_the_rest():
     q = dataclasses.replace(_Q, b=2)
     assert repr(q) == "Quaternion(a=1.5, b=2.0, c=2.0, d=-3.25)"
+    q = dataclasses.replace(_Q, c=np.float64(7.0))  # a numpy scalar: float()
+    assert q == Quaternion(1.5, -0.0, 7.0, -3.25) and type(q.c) is float
+    with pytest.raises(NonFiniteComponent):
+        dataclasses.replace(_Q, d=math.inf)
+    g = dataclasses.replace(_GRAD, dC=ONE)
+    assert g.as_tuple() == (_GRAD.dA, _GRAD.dB, ONE, _GRAD.dD)
+    h = dataclasses.replace(_HR, dJ=ONE)
+    assert (*h.as_tuple(), h.side) == (_HR.d1, _HR.dI, ONE, _HR.dK, _HR.side)
     p = dataclasses.replace(polar(QI), imag_axis=QJ)
     assert p == PolarForm(0.0, 1.0, QJ, math.pi / 2)
     j = dataclasses.replace(jet_seed(_Q), value=ONE)
@@ -178,15 +194,22 @@ def test_replace_changes_one_field_and_keeps_the_rest():
 
 
 def test_constructors_take_positional_and_keyword_fields():
+    # every record rebuilds from its fields by position and by keyword; one
+    # field too many, or one fewer than it needs, is a TypeError
+    for value, text, shown, names, pickles in RECORDS:
+        cls, args = type(value), _key(value, names)
+        assert repr(cls(*args)) == text
+        assert repr(cls(**dict(zip(names.split(), args)))) == text
+        required = _REQUIRED.get(cls, len(args))
+        cls(*args[:required])
+        for bad in (args[:required - 1], args + (ONE,)):
+            with pytest.raises(TypeError):
+                cls(*bad)
     assert PolarForm(1.0, 0.0, None, 0.0) == PolarForm(
         real_part=1.0, imag_norm=0.0, imag_axis=None, argument=0.0)
     assert QJet(_Q, _GRAD) == QJet(grad=_GRAD, value=_Q)
     assert PowerSeriesFn(ZERO, {1: ONE}) == PowerSeriesFn(
         center=ZERO, coeffs={1: ONE}, side=Side.LEFT, annulus=(0.0, math.inf))
-    for cls, count in ((PolarForm, 4), (QJet, 2)):
-        for bad in range(count - 1, count + 2, 2):
-            with pytest.raises(TypeError):
-                cls(*[ONE] * bad)
 
 
 def test_elementary_ignores_f_df_and_check():
@@ -214,11 +237,13 @@ def test_pickled_elementary_computes_the_same_values():
     ({1: ONE}, (2.0, 1.0)),
     ({1: ONE}, (-1.0, 1.0)),
     ({1: ONE}, (math.nan, 1.0)),
+    ({1: ONE}, (-0.1, 1.0)),
 ])
 def test_power_series_rejects_no_coefficients_and_a_bad_annulus(coeffs,
                                                                 annulus):
-    with pytest.raises(ValueError):
+    message = "invalid annulus" if coeffs else "at least one coefficient"
+    with pytest.raises(ValueError, match=message):
         PowerSeriesFn(ZERO, coeffs, annulus=annulus)
     if coeffs:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(PowerSeriesFn(ZERO, coeffs), annulus=annulus)

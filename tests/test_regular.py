@@ -210,14 +210,6 @@ def test_annulus_enforcement():
     assert g.evaluate(ZERO) == ONE
 
 
-def test_power_series_rejects_empty_coefficients_and_bad_annulus():
-    with pytest.raises(ValueError, match="at least one coefficient"):
-        PowerSeriesFn(ZERO, {})
-    for annulus in ((-0.1, 1.0), (2.0, 1.0)):
-        with pytest.raises(ValueError, match="invalid annulus"):
-            PowerSeriesFn(ZERO, {1: ONE}, annulus=annulus)
-
-
 # -- elementary closed forms ---------------------------------------------------
 
 @pytest.mark.parametrize("x", [0.3, -0.7, 5.0, -5.0, 10.0, 18.0, 25.0, -25.0,
