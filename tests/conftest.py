@@ -65,6 +65,15 @@ def run_qlms(directory, text, output="out.csv") -> tuple[int, str, str, Path]:
     return code, out, err, out_path
 
 
+def outcome(f, *args):
+    """repr of f(*args), or the type name and message of the error it
+    raised (every QuatGradError is a ValueError)."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987_654_321)

@@ -9,7 +9,8 @@ and as errors).  Its golden file under
 tests/golden/ holds the command, the exit code, stdout and stderr (and for
 `qlms-run` the md5 of the CSV it writes);
 tests/golden/regenerate.py rewrites them from the current code, for a
-change that alters an output on purpose.
+change that alters an output on purpose.  `validate <suite>` prints that
+suite's block of the default-seed `validate` golden.
 """
 
 import hashlib
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from conftest import run_child, run_main, write_config
+from quatgrad.cli import EXIT_OK
+from quatgrad.validate import SUITE_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +108,17 @@ def expected(name: str) -> str:
 def test_cli_output_matches_its_golden(name, argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert render(argv) == expected(name)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_validate_suite_prints_its_block_of_the_golden(suite):
+    # each suite draws from a fresh default_rng(seed), so alone it prints
+    # the lines it prints within `quatgrad validate`, up to its summary
+    stdout = expected("validate").split("-- stdout\n")[1]
+    start = stdout.index(f"[{suite}] ")
+    end = stdout.index("\n", stdout.index(f"\n{suite}: ", start) + 1) + 1
+    assert run_main(["validate", suite]) == \
+        (EXIT_OK, stdout[start:end] + "overall: PASS\n", "")
 
 
 def test_readme_qlms_run_matches_its_golden(tmp_path):

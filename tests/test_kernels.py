@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import outcome
 from quatgrad import (ONE, ZERO, Elementary, HRGradient, QI, QJ, QK, QJet,
                       Quaternion, RealGradient, Side, hr_from_real, jet_const,
                       jet_exp, jet_pow, jet_seed, jet_tanh)
@@ -81,14 +82,6 @@ def spec_hr_derivative(fn, q):
     w, df = fn.F(z), fn.dF(z)
     ratio = _ratio(w, df, v)
     return (spec_on_axis(df, qt, v) + Quaternion(ratio)) * 0.5
-
-
-def outcome(f, *args):
-    """repr of the result, or the type and message of what it raised."""
-    try:
-        return repr(f(*args))
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 magnitudes = st.floats(min_value=1e-5, max_value=1e5)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import qdist, rand_pure_unit, rand_quat, rand_quat_in_shell, tanh_safe
-from quatgrad import (DomainError, Elementary, FDConfig, ONE, OutsideAnnulus,
-                      PoleError, PowerSeriesFn, QI, QJ, Quaternion, Side,
-                      ZERO, default_step, exp_derivative, exp_series,
-                      gradient_error, hr_gradient_fd, jet_exp, jet_pow,
-                      jet_seed, jet_tanh, left_from_real, ln_derivative, ln_q,
-                      ln_real_gradient, power_derivative,
+from conftest import (outcome, qdist, rand_pure_unit, rand_quat,
+                      rand_quat_in_shell, tanh_safe)
+from quatgrad import (DomainError, Elementary, ONE, OutsideAnnulus, PoleError,
+                      PowerSeriesFn, QI, QJ, Quaternion, Side, ZERO,
+                      exp_derivative, exp_series, gradient_error, jet_exp,
+                      jet_pow, jet_seed, jet_tanh, left_from_real,
+                      ln_derivative, ln_q, ln_real_gradient, power_derivative,
                       power_derivative_oracle, real_axis_limit_check,
                       symmetric_ratio, tanh_derivative, tanh_q, tanh_series)
 from quatgrad.quaternion import power_by_squaring
@@ -92,24 +92,6 @@ def test_power_derivative_oracle_small_sums(rng):
     assert qdist(power_derivative_oracle(q, ZERO, 3), want3) <= 1e-13
 
 
-def test_power_derivative_vs_oracle_sweep(rng):
-    for n in range(-8, 9):
-        for _ in range(100):
-            center = rand_quat(rng, 0.3)
-            q = center + rand_quat_in_shell(rng, 0.5, 2.0)
-            closed = power_derivative(q, center, n)
-            oracle = power_derivative_oracle(q, center, n)
-            assert qdist(closed, oracle) <= 1e-11 * max(1.0, abs(oracle))
-
-
-def test_power_derivative_left_equals_right(rng):
-    for n in range(-8, 9):
-        for _ in range(30):
-            q = rand_quat_in_shell(rng, 0.5, 2.0)
-            assert qdist(power_derivative(q, ZERO, n, Side.LEFT),
-                         power_derivative(q, ZERO, n, Side.RIGHT)) <= 1e-13
-
-
 def test_power_derivative_vs_jets(rng):
     for n in range(-8, 9):
         if n == 0:
@@ -161,16 +143,6 @@ def test_truncated_exp_series_matches_closed_form():
     assert qdist(f.derivative(q), exp_derivative(q)) <= 1e-10
     assert qdist(f.evaluate(q), Quaternion(*(float(x) for x in (
         mpmath.cos(0.4), mpmath.sin(0.4), 0, 0))) * float(mpmath.e ** 0.3)) <= 1e-12
-
-
-def test_real_coefficient_series_sides_agree(rng):
-    for _ in range(100):
-        coeffs = {n: Quaternion(float(rng.standard_normal()))
-                  for n in range(-3, 7)}
-        left = PowerSeriesFn(ZERO, coeffs, Side.LEFT, (0.1, 3.0))
-        right = PowerSeriesFn(ZERO, coeffs, Side.RIGHT, (0.1, 3.0))
-        q = rand_quat_in_shell(rng, 0.5, 2.0)
-        assert qdist(left.derivative(q), right.derivative(q)) <= 1e-12
 
 
 def test_quaternion_coefficients_sides_differ():
@@ -278,25 +250,6 @@ def test_tangent_numbers_match_bernoulli():
                 for m in range(1, 41)]
     assert want[:4] == [1, 2, 16, 272]
     assert _tangent_numbers(40) == want
-
-
-def test_elementary_derivatives_vs_finite_differences(rng):
-    cases = (
-        (Elementary.exp(), lambda q: abs(q) < 2.0),
-        (Elementary.ln(), lambda q: q.a > 0.3 and q.imag_norm() > 0.1),
-        (Elementary.tanh(), lambda q: tanh_safe(q)),
-    )
-    for fn, safe in cases:
-        done = 0
-        while done < 200:
-            q = rand_quat(rng)
-            if not safe(q):
-                continue
-            done += 1
-            cfg = FDConfig(default_step(q), richardson=True)
-            fd_d1 = hr_gradient_fd(fn.value, q, cfg).d1
-            closed = fn.hr_derivative(q)
-            assert qdist(fd_d1, closed) <= 1e-6 * max(1.0, abs(closed))
 
 
 # -- full real gradient of ln --------------------------------------------------
@@ -531,11 +484,9 @@ _POINTS = st.builds(Quaternion, _COMPONENTS, _COMPONENTS, _COMPONENTS,
 _ROUTES = ("value", "hr_derivative", "real_gradient")
 
 
-def _outcome(route, q, with_message=True):
-    try:
-        return repr(route(q))
-    except (ArithmeticError, ValueError) as e:  # NonFiniteComponent included
-        return (type(e), str(e)) if with_message else type(e)
+def _error_type_only(result):
+    """outcome's result, with an error told by its type's name alone."""
+    return result if isinstance(result, str) else result[0]
 
 
 @given(_POINTS, st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 5]))
@@ -551,8 +502,8 @@ def test_zero_center_shortcut_is_bit_identical(q, n):
     assert fast.center is ZERO and plus_zero is not ZERO
     slow = Elementary.power(n, plus_zero)
     for route in _ROUTES:
-        assert _outcome(getattr(fast, route), q) == \
-            _outcome(getattr(slow, route), q)
+        assert outcome(getattr(fast, route), q) == \
+            outcome(getattr(slow, route), q)
     # a -0.0 center (== ZERO) still subtracts: its routes are those of the
     # ZERO center at the explicit q - center, which has no -0.0 component
     # (errors by type: the pole's message names the center)
@@ -560,8 +511,8 @@ def test_zero_center_shortcut_is_bit_identical(q, n):
     assert minus_zero == ZERO
     shifted = Elementary.power(n, minus_zero)
     for route in _ROUTES:
-        assert _outcome(getattr(shifted, route), q, False) == \
-            _outcome(getattr(fast, route), q - minus_zero, False)
+        assert _error_type_only(outcome(getattr(shifted, route), q)) == \
+            _error_type_only(outcome(getattr(fast, route), q - minus_zero))
 
 
 def test_minus_zero_center_differs_from_the_shortcut():
@@ -597,5 +548,4 @@ def test_zpow_is_power_by_squaring(z, n):
     # up to |n| = 100 _zpow is CPython's c_powu, whose products and their
     # order must be power_by_squaring's on every Python, nan and inf
     # parts and signed zeros included
-    assert _outcome(lambda z: _zpow(z, n), z) == \
-        _outcome(lambda z: _zpow_spec(z, n), z)
+    assert outcome(_zpow, z, n) == outcome(_zpow_spec, z, n)
