@@ -151,8 +151,13 @@ def _parse_function(text: str) -> Elementary:
     except ValueError:
         raise ValueError(f"bad power argument {text!r}: the exponent "
                          f"{fields[0]!r} is not an integer") from None
-    center = Quaternion.from_string(fields[1]) if len(fields) == 2 \
-        else Quaternion(0.0)
+    if len(fields) == 1:
+        return Elementary.power(n)
+    try:
+        center = Quaternion.from_string(fields[1])
+    except ValueError as exc:
+        raise ValueError(f"bad power argument {text!r}: in the center, "
+                         f"{exc}") from None
     return Elementary.power(n, center)
 
 

@@ -1,5 +1,6 @@
-"""Rewrite the golden CLI outputs of tests/test_golden.py from the current
-code, on Python 3.11 or later (argparse titles its sections "options:").
+"""Rewrite the golden CLI outputs and the library output sweep of
+tests/test_golden.py from the current code, on Python 3.11 or later
+(argparse titles its sections "options:").
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -15,8 +16,8 @@ from pathlib import Path
 os.environ["COLUMNS"] = "80"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import (CASES, GOLDEN, QLMS_RUN, render,  # noqa: E402
-                         render_child)
+from test_golden import (CASES, GOLDEN, QLMS_RUN, SWEEP,  # noqa: E402
+                         render, render_child, render_sweep)
 
 for name, argv in CASES:
     (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
@@ -26,3 +27,5 @@ with tempfile.TemporaryDirectory() as directory:
     text = render_child(argv, directory)
 (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
 print(f"wrote {name}.txt")
+(GOLDEN / f"{SWEEP}.txt").write_text(render_sweep(), encoding="utf-8")
+print(f"wrote {SWEEP}.txt")

@@ -161,6 +161,7 @@ _NOT_A_QUATERNION = ("not a quaternion string: {!r} (expected a+bi+cj+dk "
                      "with all four components)")
 _UNKNOWN = "unknown elementary function {!r} (expected exp, ln, tanh, power)"
 _BAD_POWER = "bad power argument {!r}, expected power:<n>[:<center>]"
+_BAD_CENTER = "bad power argument {!r}: in the center, {}"
 
 # (function, point, message): eval-grad exits 1 with no stdout and prints
 # "parse error: <message>"
@@ -173,7 +174,15 @@ _PARSE_ERRORS = [
     ("power:", "1+0i+0j+0k", _BAD_POWER.format("power:")),
     ("power:2:1+0i+0j+0k:3", "1+0i+0j+0k",
      _BAD_POWER.format("power:2:1+0i+0j+0k:3")),
-    ("power:2:zzz", "1+0i+0j+0k", _NOT_A_QUATERNION.format("zzz")),
+    ("power:2:zzz", "1+0i+0j+0k",
+     _BAD_CENTER.format("power:2:zzz", _NOT_A_QUATERNION.format("zzz"))),
+    # a center like the point: the line names the one that failed
+    ("power:2:zzz", "zzz",
+     _BAD_CENTER.format("power:2:zzz", _NOT_A_QUATERNION.format("zzz"))),
+    ("power:2:1+0i+0j", "zzz", _BAD_CENTER.format(
+        "power:2:1+0i+0j", _NOT_A_QUATERNION.format("1+0i+0j"))),
+    ("power:2:1e999+0i+0j+0k", "1+0i+0j+0k", _BAD_CENTER.format(
+        "power:2:1e999+0i+0j+0k", "non-finite quaternion component: inf")),
 ]
 
 

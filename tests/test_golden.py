@@ -11,15 +11,25 @@ tests/golden/ holds the command, the exit code, stdout and stderr (and for
 tests/golden/regenerate.py rewrites them from the current code, for a
 change that alters an output on purpose.  `validate <suite>` prints that
 suite's block of the default-seed `validate` golden.
+
+tests/golden/sweep.txt is the library's output sweep: the repr of every
+result, or the error, of five methods of 35 elementary functions at 300
+seeded points, summed up per group of rows (see sweep_lines).  A change
+that claims bit-identical outputs leaves it unedited; one that changes
+outputs on purpose regenerates it and names each group that moved.
 """
 
 import hashlib
+import math
+import random
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
 from conftest import run_child, run_main, write_config
+from quatgrad import Elementary, Quaternion, left_from_real, right_from_real
 from quatgrad.cli import EXIT_OK
 from quatgrad.validate import SUITE_NAMES
 
@@ -71,6 +81,95 @@ CASES = [
 # README's qlms-run, run in a child process from the directory that holds
 # its config: the StabilityWarning line is then the one a shell shows
 QLMS_RUN = ("qlms_run", ["qlms-run", "run.cfg", "out.csv"])
+
+
+# the output sweep: special components, each of every point's four drawn
+# from them or as a random sign times (1 + u) 2^e, with e in -9..8 (within
+# [1e-3, 1e3]) or, for every second point, also in -1074..1023; stdlib
+# random and ldexp, so the points depend on no numpy and no libm
+SWEEP = "sweep"
+SWEEP_SEED, SWEEP_POINTS = 2014, 300
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, 1.0, -1.0,
+            709.7, 1e300, -1e300)
+_SPECIAL_NORMAL = (0.0, -0.0, 1.0, -1.0)
+_SWEEP_CENTER = Quaternion(0.5, -0.25, 0.0, 0.5)
+
+
+def _sweep_component(rng, extreme: bool) -> float:
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice(_SPECIAL if extreme else _SPECIAL_NORMAL)
+    sign = rng.choice((1.0, -1.0))
+    e = rng.randint(-1074, 1023) if extreme and r < 0.6 else rng.randint(-9, 8)
+    return sign * math.ldexp(1.0 + rng.random(), e)
+
+
+def sweep_points() -> list:
+    rng = random.Random(SWEEP_SEED)
+    return [Quaternion(*(_sweep_component(rng, i % 2 == 1) for _ in range(4)))
+            for i in range(SWEEP_POINTS)]
+
+
+def _band(q: Quaternion) -> str:
+    """normal: every component 0 or of magnitude within [1e-3, 1e3]."""
+    return "normal" if all(x == 0.0 or 1e-3 <= abs(x) <= 1e3 for x in
+                           (q.a, q.b, q.c, q.d)) else "extreme"
+
+
+def sweep_functions():
+    """(label, Elementary): exp, ln, tanh, (q - c)^n for n in -6..8 with the
+    zero center and with an off-axis one, and n = +-101, past the exponents
+    that _zpow hands to CPython's complex **."""
+    yield "exp", Elementary.exp()
+    yield "ln", Elementary.ln()
+    yield "tanh", Elementary.tanh()
+    for n in range(-6, 9):
+        yield f"power:{n}", Elementary.power(n)
+        yield f"power:{n}:c", Elementary.power(n, _SWEEP_CENTER)
+    for n in (-101, 101):
+        yield f"power:{n}", Elementary.power(n)
+
+
+def _outcome(method, x):
+    """(type name, row, result): the repr of method(x), or the error it
+    raised as "TypeName: message" (result None)."""
+    try:
+        result = method(x)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, f"{type(exc).__name__}: {exc}", None
+    return type(result).__name__, repr(result), result
+
+
+def sweep_lines() -> list:
+    """One line per function, method and band: the row count, the count of
+    each outcome type and the md5 of the rows, one a line.  The two
+    conversions take real_gradient's result, or repeat its error."""
+    groups = defaultdict(list)
+    points = [(q, _band(q)) for q in sweep_points()]
+    for label, fn in sweep_functions():
+        for q, band in points:
+            groups[label, "value", band].append(_outcome(fn.value, q))
+            groups[label, "hr_derivative", band].append(
+                _outcome(fn.hr_derivative, q))
+            grad = _outcome(fn.real_gradient, q)
+            groups[label, "real_gradient", band].append(grad)
+            for name, convert in (("left_from_real", left_from_real),
+                                  ("right_from_real", right_from_real)):
+                groups[label, name, band].append(
+                    grad if grad[2] is None else _outcome(convert, grad[2]))
+    lines = []
+    for key, rows in groups.items():
+        counts = Counter(kind for kind, _, _ in rows)
+        md5 = hashlib.md5("\n".join(row for _, row, _ in rows).encode(
+            "utf-8")).hexdigest()
+        lines.append(" ".join((*key, f"rows={len(rows)}", *(
+            f"{kind}={count}" for kind, count in sorted(counts.items())),
+            f"md5={md5}")))
+    return lines
+
+
+def render_sweep() -> str:
+    return "".join(f"{line}\n" for line in sweep_lines())
 
 
 def render(argv) -> str:
@@ -152,7 +251,11 @@ def test_validate_with_warnings_as_errors_matches_its_golden(tmp_path):
         expected("validate_seed_7")
 
 
+def test_library_outputs_match_the_sweep_golden():
+    assert render_sweep() == expected(SWEEP)
+
+
 def test_every_golden_file_has_a_case():
     names = {path.stem for path in GOLDEN.glob("*.txt")}
-    assert names == {name for name, _ in CASES + [QLMS_RUN]}
+    assert names == {name for name, _ in CASES + [QLMS_RUN]} | {SWEEP}
     assert (GOLDEN / "regenerate.py").is_file()

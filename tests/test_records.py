@@ -172,6 +172,25 @@ def test_dataclasses_fields_replace_and_is_dataclass(value, text, shown,
     assert dataclasses.astuple(value) == dataclasses.astuple(same)
 
 
+def test_quaternion_keeps_every_bit_of_its_four_floats():
+    # the table's row pins the field order a, b, c, d and the frozen fields;
+    # each way a record is rebuilt keeps every float's bits, the sign of
+    # each zero included, at every pickle protocol; == and hash are those of
+    # the tuple of the four floats, where -0.0 == 0.0
+    negative_zero = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    for q in (_Q, negative_zero):
+        floats = (q.a, q.b, q.c, q.d)
+        assert dataclasses.astuple(q) == floats
+        assert hash(q) == hash(floats)
+        copies = [copy.copy(q), copy.deepcopy(q), dataclasses.replace(q),
+                  *(pickle.loads(pickle.dumps(q, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+        for copied in copies:
+            assert [x.hex() for x in dataclasses.astuple(copied)] == \
+                [x.hex() for x in floats]
+    assert negative_zero == ZERO and hash(negative_zero) == hash(ZERO)
+
+
 def test_replace_changes_one_field_and_keeps_the_rest():
     q = dataclasses.replace(_Q, b=2)
     assert repr(q) == "Quaternion(a=1.5, b=2.0, c=2.0, d=-3.25)"
