@@ -127,7 +127,7 @@ def _side_mul4(side: Side, p, q) -> tuple[float, float, float, float]:
     return _hamilton(p, q) if side is _LEFT else _hamilton(q, p)
 
 
-#: A Quaternion's components as the float 4-tuple (a, b, c, d).
+#: A Quaternion's components, the float 4-tuple (a, b, c, d) it stores.
 _floats = Quaternion._key
 
 

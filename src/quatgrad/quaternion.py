@@ -1,7 +1,8 @@
 """Scalar quaternion arithmetic.
 
-A quaternion q = a + b i + c j + d k is stored as four doubles in the fixed
-component order (a, b, c, d).  The imaginary units satisfy
+A quaternion q = a + b i + c j + d k is stored as one slot, _t, the tuple
+of its four doubles in the fixed component order (a, b, c, d).  The
+imaginary units satisfy
 
     i^2 = j^2 = k^2 = -1,   ij = k,  jk = i,  ki = j,
     ij = -ji,  ki = -ik,  kj = -jk,
@@ -14,10 +15,12 @@ quadruple, the polar decomposition q = a + v*vhat, and a text form
 type: exp, ln, tanh and (q - c)^n of a quaternion live in regular.
 
 Every Quaternion is built by _raw, the one finiteness check (it raises
-NonFiniteComponent); _check is that check for four floats that are not
-built.  Public construction, Quaternion(a, b, c, d), is _raw over float()
-of each component; arithmetic results call _raw directly, since their
-components are Python floats already.
+NonFiniteComponent) and the one code that sets _t; _check is that check
+for four floats that are not built.  Public construction, Quaternion(a, b,
+c, d), is _raw over float() of each component; arithmetic results call
+_raw directly, since their components are Python floats already.  The
+kernels read the stored tuple; a, b, c and d are read-only properties
+over it.
 random_quaternion is the one standard-normal sampler.
 """
 
@@ -45,22 +48,26 @@ class _FieldsOnFirstRead:
         from dataclasses import _FIELD, field
         cls.__dataclass_fields__ = fields = {name: field(
             repr=name in cls._compared, compare=name in cls._compared)
-            for name in cls.__slots__}
+            for name in cls._fields}
         for name, f in fields.items():
             f.name, f._field_type = name, _FIELD
         return fields
 
 
 class _Record:
-    """A frozen @dataclass over __slots__, without importing dataclasses: repr,
-    == and hash see the compared fields (every slot unless the class keyword
-    names fewer); a __new__ sets the slots through cls._setters."""
+    """A frozen @dataclass without importing dataclasses: its fields are the
+    slots unless the class keyword names them; repr, == and hash see the
+    compared fields (every field unless the class keyword names fewer),
+    through cls._key unless the class sets its own; a __new__ sets the
+    slots through cls._setters."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, compared=None):
-        cls._compared = compared or cls.__slots__
-        cls._key = operator.attrgetter(*cls._compared)
+    def __init_subclass__(cls, fields=None, compared=None):
+        cls._fields = fields or cls.__slots__
+        cls._compared = compared or cls._fields
+        if "_key" not in cls.__dict__:
+            cls._key = operator.attrgetter(*cls._compared)
         cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
         cls.__dataclass_fields__ = _FieldsOnFirstRead()
 
@@ -86,13 +93,13 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild through __new__
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+        return type(self), tuple(map(self.__getattribute__, self._fields))
 
 
 _new = object.__new__
 
 
-class Quaternion(_Record):
+class Quaternion(_Record, fields=("a", "b", "c", "d")):
     """An immutable quaternion with components (a, b, c, d).
 
     All arithmetic returns new instances; values are safe to share across
@@ -103,7 +110,13 @@ class Quaternion(_Record):
     operand is converted with float() first).
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_t",)
+    _key = operator.attrgetter("_t")  # == and hash compare (a, b, c, d)
+
+    a = property(lambda self: self._t[0])
+    b = property(lambda self: self._t[1])
+    c = property(lambda self: self._t[2])
+    d = property(lambda self: self._t[3])
 
     def __new__(cls, a, b=0.0, c=0.0, d=0.0):
         return _raw(float(a), float(b), float(c), float(d))
@@ -111,19 +124,22 @@ class Quaternion(_Record):
     # -- basic structure ------------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return _raw(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._t
+        return _raw(a, -b, -c, -d)
 
     def norm_sq(self) -> float:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        a, b, c, d = self._t
+        return a * a + b * b + c * c + d * d
 
     def norm(self) -> float:
-        return math.hypot(self.a, self.b, self.c, self.d)
+        return math.hypot(*self._t)
 
     __abs__ = norm
 
     def imag_norm(self) -> float:
         """v = |I(q)|."""
-        return math.hypot(self.b, self.c, self.d)
+        _, b, c, d = self._t
+        return math.hypot(b, c, d)
 
     def inverse(self) -> "Quaternion":
         """q^-1 = q* / |q|^2, across the float range.
@@ -133,14 +149,15 @@ class Quaternion(_Record):
         scaled by 2^-e.  ZeroDivisionError only at q = 0; NonFiniteComponent
         where q^-1 itself overflows.
         """
-        n2 = self.norm_sq()
+        a, b, c, d = t = self._t
+        n2 = a * a + b * b + c * c + d * d
         if _NORMAL_MIN <= n2 <= _NORMAL_MAX:
-            return _raw(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)
-        largest = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+            return _raw(a / n2, -b / n2, -c / n2, -d / n2)
+        largest = max(abs(a), abs(b), abs(c), abs(d))
         if largest == 0.0:
             raise ZeroDivisionError("inverse of the zero quaternion")
         e = math.frexp(largest)[1]
-        a, b, c, d = (math.ldexp(x, -e) for x in (self.a, self.b, self.c, self.d))
+        a, b, c, d = (math.ldexp(x, -e) for x in t)
         n2 = a * a + b * b + c * c + d * d
         try:
             return _raw(*(math.ldexp(x / n2, -e) for x in (a, -b, -c, -d)))
@@ -150,23 +167,23 @@ class Quaternion(_Record):
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
+        a, b, c, d = self._t
         if isinstance(other, Quaternion):
-            return _raw(self.a + other.a, self.b + other.b,
-                        self.c + other.c, self.d + other.d)
+            a2, b2, c2, d2 = other._t
+            return _raw(a + a2, b + b2, c + c2, d + d2)
         if isinstance(other, (int, float)):
-            other = float(other)
-            return _raw(self.a + other, self.b, self.c, self.d)
+            return _raw(a + float(other), b, c, d)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        a, b, c, d = self._t
         if isinstance(other, Quaternion):
-            return _raw(self.a - other.a, self.b - other.b,
-                        self.c - other.c, self.d - other.d)
+            a2, b2, c2, d2 = other._t
+            return _raw(a - a2, b - b2, c - c2, d - d2)
         if isinstance(other, (int, float)):
-            other = float(other)
-            return _raw(self.a - other, self.b, self.c, self.d)
+            return _raw(a - float(other), b, c, d)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -175,17 +192,17 @@ class Quaternion(_Record):
         return NotImplemented
 
     def __neg__(self):
-        return _raw(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._t
+        return _raw(-a, -b, -c, -d)
 
     def __mul__(self, other):
         """Hamilton product; reals commute with everything."""
         if isinstance(other, Quaternion):
-            return _raw(*_hamilton((self.a, self.b, self.c, self.d),
-                                   (other.a, other.b, other.c, other.d)))
+            return _raw(*_hamilton(self._t, other._t))
         if isinstance(other, (int, float)):
             other = float(other)
-            return _raw(self.a * other, self.b * other,
-                        self.c * other, self.d * other)
+            a, b, c, d = self._t
+            return _raw(a * other, b * other, c * other, d * other)
         return NotImplemented
 
     # only reached for real scalars, which commute
@@ -195,8 +212,8 @@ class Quaternion(_Record):
         # division by a quaternion is ambiguous (left vs right); use inverse()
         if isinstance(other, (int, float)):
             other = float(other)
-            return _raw(self.a / other, self.b / other,
-                        self.c / other, self.d / other)
+            a, b, c, d = self._t
+            return _raw(a / other, b / other, c / other, d / other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -207,8 +224,8 @@ class Quaternion(_Record):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return _raw(*power_by_squaring((self.a, self.b, self.c, self.d), n,
-                                       (1.0, 0.0, 0.0, 0.0), _hamilton))
+        return _raw(*power_by_squaring(self._t, n, (1.0, 0.0, 0.0, 0.0),
+                                       _hamilton))
 
     # -- involutions -----------------------------------------------------
 
@@ -216,17 +233,19 @@ class Quaternion(_Record):
         """q^nu = -nu q nu: flips the two imaginary axes other than nu."""
         if axis is _AXIS_ONE:
             return self
+        a, b, c, d = self._t
         if axis is _AXIS_I:
-            return _raw(self.a, self.b, -self.c, -self.d)
+            return _raw(a, b, -c, -d)
         if axis is _AXIS_J:
-            return _raw(self.a, -self.b, self.c, -self.d)
-        return _raw(self.a, -self.b, -self.c, self.d)
+            return _raw(a, -b, c, -d)
+        return _raw(a, -b, -c, d)
 
     # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = [repr(self.a)]
-        for value, suffix in ((self.b, "i"), (self.c, "j"), (self.d, "k")):
+        a, b, c, d = self._t
+        parts = [repr(a)]
+        for value, suffix in ((b, "i"), (c, "j"), (d, "k")):
             sign = "-" if math.copysign(1.0, value) < 0 else "+"
             parts.append(f"{sign}{abs(value)!r}{suffix}")
         return "".join(parts)
@@ -242,7 +261,7 @@ class Quaternion(_Record):
                    float(m.group(3)), float(m.group(4)))
 
 
-_set_a, _set_b, _set_c, _set_d = Quaternion._setters
+(_set_t,) = Quaternion._setters
 
 
 def _check(a: float, b: float, c: float, d: float) -> None:
@@ -260,14 +279,11 @@ def _check(a: float, b: float, c: float, d: float) -> None:
 def _raw(a: float, b: float, c: float, d: float) -> Quaternion:
     """A Quaternion from four Python floats, without the float() coercion,
     checked by _check; its test is written out here, so a finite build
-    makes no call."""
+    makes no call but the one setter of _t."""
     if a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 != 0.0:
         _check(a, b, c, d)
     q = _new(Quaternion)
-    _set_a(q, a)
-    _set_b(q, b)
-    _set_c(q, c)
-    _set_d(q, d)
+    _set_t(q, (a, b, c, d))
     return q
 
 

@@ -220,7 +220,8 @@ def cosh_abs_sq(q: Quaternion) -> float:
     It exceeds 1 once |q_a| >= 1, and is inf past the float range (s * s
     overflows to inf; math.sinh raises beyond |q_a| ~ 710.47).
     """
-    s = math.sinh(q.a) if abs(q.a) < 710.0 else math.inf
+    a = q._t[0]
+    s = math.sinh(a) if abs(a) < 710.0 else math.inf
     return s * s + math.cos(q.imag_norm()) ** 2
 
 
@@ -274,7 +275,8 @@ def _axis4(w: complex, qt: Quaternion,
     if v == 0.0:
         return w.real, 0.0, 0.0, 0.0
     f = w.imag / v
-    return w.real, f * qt.b, f * qt.c, f * qt.d
+    _, b, c, d = qt._t
+    return w.real, f * b, f * c, f * d
 
 
 _SUBNORMAL_SLACK = 8 * 5e-324  # eight steps of the smallest subnormal
@@ -346,8 +348,9 @@ class Elementary(_Record, compared=("kind", "n", "center")):
         components into +0.0."""
         self.check(q)
         qt = q if self.center is ZERO else q - self.center
-        v = qt.imag_norm()
-        return qt, v, complex(qt.a, v)
+        a, b, c, d = qt._t
+        v = math.hypot(b, c, d)  # qt.imag_norm()
+        return qt, v, complex(a, v)
 
     def value(self, q: Quaternion) -> Quaternion:
         qt, v, z = self._at(q)
@@ -400,7 +403,7 @@ class Elementary(_Record, compared=("kind", "n", "center")):
             d = df.real
             return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)
         a, b, c = df.real, df.imag / v, _ratio(w, df, v)
-        xb, xc, xd = qt.b, qt.c, qt.d
+        _, xb, xc, xd = qt._t
         hb, hc, hd = xb / v, xc / v, xd / v  # vhat
         ac = a - c
         sb, sc, sd = ac * hb, ac * hc, ac * hd  # s_u = (A - C)(x_u/v)
