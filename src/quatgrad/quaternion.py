@@ -149,8 +149,8 @@ class Quaternion(_Record, fields=("a", "b", "c", "d")):
         scaled by 2^-e.  ZeroDivisionError only at q = 0; NonFiniteComponent
         where q^-1 itself overflows.
         """
+        n2 = self.norm_sq()
         a, b, c, d = t = self._t
-        n2 = a * a + b * b + c * c + d * d
         if _NORMAL_MIN <= n2 <= _NORMAL_MAX:
             return _raw(a / n2, -b / n2, -c / n2, -d / n2)
         largest = max(abs(a), abs(b), abs(c), abs(d))
