@@ -32,7 +32,7 @@ from functools import partial
 from .errors import NonFiniteComponent, NotRealValued, SideMismatch
 from .quaternion import (IMAGINARY_AXES, ONE, QI, QJ, QK, RESIDUE_TOL, ZERO,
                          AxisUnit, Quaternion, _Record, _UNITS4, _hamilton,
-                         _new, _raw)
+                         _new, _raw, _set_t)
 
 
 class Side(Enum):
@@ -43,31 +43,25 @@ class Side(Enum):
 _LEFT, _RIGHT = Side.LEFT, Side.RIGHT  # bound once, not looked up per call
 
 
-class RealGradient(_Record):
+class RealGradient(_Record, fields=("dA", "dB", "dC", "dD")):
     """The four quaternion partials (df/dq_a, df/dq_b, df/dq_c, df/dq_d).
 
-    Built like Quaternion: __new__ sets the slots, and copy, pickle and
+    Built like Quaternion: __new__ sets _t, and copy, pickle and
     dataclasses.replace rebuild through it."""
 
-    __slots__ = ("dA", "dB", "dC", "dD")
+    __slots__ = ()
 
     def __new__(cls, dA, dB, dC, dD):
         g = _new(cls)
-        _set_dA(g, dA)
-        _set_dB(g, dB)
-        _set_dC(g, dC)
-        _set_dD(g, dD)
+        _set_t(g, (dA, dB, dC, dD))
         return g
 
     def as_tuple(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        return (self.dA, self.dB, self.dC, self.dD)
+        return self._t
 
     def involution(self, axis: AxisUnit) -> "RealGradient":
         """Apply the axis involution to every partial."""
         return RealGradient(*(p.involution(axis) for p in self.as_tuple()))
-
-
-_set_dA, _set_dB, _set_dC, _set_dD = RealGradient._setters
 
 
 #: Real gradient of the identity function f(q) = q.
@@ -76,29 +70,22 @@ IDENTITY_GRADIENT = RealGradient(ONE, QI, QJ, QK)
 ZERO_GRADIENT = RealGradient(ZERO, ZERO, ZERO, ZERO)
 
 
-class HRGradient(_Record):
+class HRGradient(_Record, fields=("d1", "dI", "dJ", "dK", "side")):
     """Partials with respect to (q, q^i, q^j, q^k), tagged left or right.
 
     Mixing sides is a hard error everywhere in this module: left and right
     gradients differ already for linear functions.  Built like RealGradient.
     """
 
-    __slots__ = ("d1", "dI", "dJ", "dK", "side")
+    __slots__ = ()
 
     def __new__(cls, d1, dI, dJ, dK, side):
         h = _new(cls)
-        _set_d1(h, d1)
-        _set_dI(h, dI)
-        _set_dJ(h, dJ)
-        _set_dK(h, dK)
-        _set_side(h, side)
+        _set_t(h, (d1, dI, dJ, dK, side))
         return h
 
     def as_tuple(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        return (self.d1, self.dI, self.dJ, self.dK)
-
-
-_set_d1, _set_dI, _set_dJ, _set_dK, _set_side = HRGradient._setters
+        return self._t[:4]
 
 
 def _require_side(h: HRGradient, side: Side, what: str) -> None:
@@ -127,10 +114,6 @@ def _side_mul4(side: Side, p, q) -> tuple[float, float, float, float]:
     return _hamilton(p, q) if side is _LEFT else _hamilton(q, p)
 
 
-#: A Quaternion's components, the float 4-tuple (a, b, c, d) it stores.
-_floats = Quaternion._key
-
-
 def hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     """The restricted HR gradient of the given side from the real partials:
     the units multiply each partial from the right for the left operator,
@@ -142,10 +125,11 @@ def hr_from_real(g: RealGradient, side: Side) -> HRGradient:
     included, so every bit and sign of zero is the same; only the four
     parts are built as Quaternions, checked finite."""
     i, j, k = _UNITS4
-    a0, a1, a2, a3 = _floats(g.dA)
-    b0, b1, b2, b3 = _side_mul4(side, _floats(g.dB), i)
-    c0, c1, c2, c3 = _side_mul4(side, _floats(g.dC), j)
-    d0, d1, d2, d3 = _side_mul4(side, _floats(g.dD), k)
+    dA, dB, dC, dD = g._t
+    a0, a1, a2, a3 = dA._t
+    b0, b1, b2, b3 = _side_mul4(side, dB._t, i)
+    c0, c1, c2, c3 = _side_mul4(side, dC._t, j)
+    d0, d1, d2, d3 = _side_mul4(side, dD._t, k)
     return HRGradient(
         _raw((a0 - b0 - c0 - d0) * 0.25, (a1 - b1 - c1 - d1) * 0.25,
              (a2 - b2 - c2 - d2) * 0.25, (a3 - b3 - c3 - d3) * 0.25),
@@ -165,10 +149,11 @@ def _real_from_hr(h: HRGradient, side: Side) -> RealGradient:
     of the parts, three of them multiplied by their unit with _side_mul4."""
     _require_side(h, side, f"real_from_{side.value}")
     i, j, k = _UNITS4
-    a0, a1, a2, a3 = _floats(h.d1)
-    b0, b1, b2, b3 = _floats(h.dI)
-    c0, c1, c2, c3 = _floats(h.dJ)
-    d0, d1, d2, d3 = _floats(h.dK)
+    p1, pI, pJ, pK, _ = h._t
+    a0, a1, a2, a3 = p1._t
+    b0, b1, b2, b3 = pI._t
+    c0, c1, c2, c3 = pJ._t
+    d0, d1, d2, d3 = pK._t
     return RealGradient(
         _raw(a0 + b0 + c0 + d0, a1 + b1 + c1 + d1,
              a2 + b2 + c2 + d2, a3 + b3 + c3 + d3),
@@ -301,9 +286,9 @@ def _jet_mul(x, y):
 
 
 def _jet_floats(j: "QJet"):
-    g = j.grad
-    return (_floats(j.value), _floats(g.dA), _floats(g.dB), _floats(g.dC),
-            _floats(g.dD))
+    value, g = j._t
+    dA, dB, dC, dD = g._t
+    return value._t, dA._t, dB._t, dC._t, dD._t
 
 
 def _as_floats(x):
@@ -314,7 +299,7 @@ def _as_floats(x):
         x = Quaternion(float(x))
     elif not isinstance(x, Quaternion):
         return None
-    return (_floats(x), _Z4, _Z4, _Z4, _Z4)
+    return (x._t, _Z4, _Z4, _Z4, _Z4)
 
 
 def _jet(x) -> "QJet":
@@ -336,7 +321,7 @@ def _operator(kernel, reflected=False):
     return op
 
 
-class QJet(_Record):
+class QJet(_Record, fields=("value", "grad")):
     """A function value together with its RealGradient at the base point.
 
     Arithmetic follows the ordinary order-preserving product rule on the
@@ -345,12 +330,11 @@ class QJet(_Record):
     float kernel; unary - and conjugate() are the Quaternion's on each part.
     """
 
-    __slots__ = ("value", "grad")
+    __slots__ = ()
 
     def __new__(cls, value, grad):
-        j, (set_value, set_grad) = _new(cls), cls._setters
-        set_value(j, value)
-        set_grad(j, grad)
+        j = _new(cls)
+        _set_t(j, (value, grad))
         return j
 
     __add__ = _operator(_jet_add)
@@ -372,9 +356,9 @@ class QJet(_Record):
         """d(f^-1)/dq_phi = -f^-1 (df/dq_phi) f^-1; f^-1 is the value's
         Quaternion.inverse, which raises ZeroDivisionError at 0."""
         v = self.value.inverse()
-        fv = _floats(v)
+        fv = v._t
         return QJet(v, RealGradient(*(
-            _raw(*_neg4(_hamilton(fv, _hamilton(_floats(p), fv))))
+            _raw(*_neg4(_hamilton(fv, _hamilton(p._t, fv))))
             for p in self.grad.as_tuple())))
 
 
@@ -515,7 +499,7 @@ def real_jacobian(g_grad: RealGradient):
 
     Satisfies 4 J P J^H = chain_matrix_involutions(g_grad).
     """
-    return [list(row) for row in zip(*map(_floats, g_grad.as_tuple()))]
+    return [list(row) for row in zip(*(p._t for p in g_grad._t))]
 
 
 def chain_matrix_components(g_grad: RealGradient) -> QMatrix:

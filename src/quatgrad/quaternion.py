@@ -15,12 +15,11 @@ quadruple, the polar decomposition q = a + v*vhat, and a text form
 type: exp, ln, tanh and (q - c)^n of a quaternion live in regular.
 
 Every Quaternion is built by _raw, the one finiteness check (it raises
-NonFiniteComponent) and the one code that sets _t; _check is that check
-for four floats that are not built.  Public construction, Quaternion(a, b,
-c, d), is _raw over float() of each component; arithmetic results call
-_raw directly, since their components are Python floats already.  The
-kernels read the stored tuple; a, b, c and d are read-only properties
-over it.
+NonFiniteComponent); _check is that check for four floats that are not
+built.  Public construction, Quaternion(a, b, c, d), is _raw over float()
+of each component; arithmetic results call _raw directly, since their
+components are Python floats already.  The kernels read the stored tuple;
+a, b, c and d are read-only properties over it, like every _Record field.
 random_quaternion is the one standard-normal sampler.
 """
 
@@ -55,20 +54,21 @@ class _FieldsOnFirstRead:
 
 
 class _Record:
-    """A frozen @dataclass without importing dataclasses: its fields are the
-    slots unless the class keyword names them; repr, == and hash see the
-    compared fields (every field unless the class keyword names fewer),
-    through cls._key unless the class sets its own; a __new__ sets the
-    slots through cls._setters."""
+    """A frozen @dataclass without importing dataclasses, stored in one slot:
+    _t, the tuple of its fields in the order the class keyword names them,
+    set once by _set_t in the class's __new__ (each subclass declares
+    __slots__ = (), so no record has a __dict__); each field is a read-only
+    property over _t.  repr, == and hash see the compared fields (every
+    field unless the class keyword names fewer) through cls._key; copy and
+    pickle rebuild through __new__."""
 
-    __slots__ = ()
+    __slots__ = ("_t",)
 
-    def __init_subclass__(cls, fields=None, compared=None):
-        cls._fields = fields or cls.__slots__
-        cls._compared = compared or cls._fields
-        if "_key" not in cls.__dict__:
-            cls._key = operator.attrgetter(*cls._compared)
-        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
+    def __init_subclass__(cls, fields, compared=None):
+        cls._fields, cls._compared = fields, compared or fields
+        for i, name in enumerate(fields):
+            setattr(cls, name, property(lambda self, i=i: self._t[i]))
+        cls._key = operator.attrgetter(*compared or ("_t",))
         cls.__dataclass_fields__ = _FieldsOnFirstRead()
 
     def __repr__(self):
@@ -93,10 +93,11 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild through __new__
-        return type(self), tuple(map(self.__getattribute__, self._fields))
+        return type(self), self._t
 
 
 _new = object.__new__
+_set_t = _Record._t.__set__  # the one setter of a record's slot
 
 
 class Quaternion(_Record, fields=("a", "b", "c", "d")):
@@ -110,13 +111,7 @@ class Quaternion(_Record, fields=("a", "b", "c", "d")):
     operand is converted with float() first).
     """
 
-    __slots__ = ("_t",)
-    _key = operator.attrgetter("_t")  # == and hash compare (a, b, c, d)
-
-    a = property(lambda self: self._t[0])
-    b = property(lambda self: self._t[1])
-    c = property(lambda self: self._t[2])
-    d = property(lambda self: self._t[3])
+    __slots__ = ()
 
     def __new__(cls, a, b=0.0, c=0.0, d=0.0):
         return _raw(float(a), float(b), float(c), float(d))
@@ -261,9 +256,6 @@ class Quaternion(_Record, fields=("a", "b", "c", "d")):
                    float(m.group(3)), float(m.group(4)))
 
 
-(_set_t,) = Quaternion._setters
-
-
 def _check(a: float, b: float, c: float, d: float) -> None:
     """_raw's finiteness check of four Python floats, building nothing.
 
@@ -367,7 +359,8 @@ def components_from_involutions(q: Quaternion, qi: Quaternion, qj: Quaternion,
     return tuple(value.a for value in recovered)
 
 
-class PolarForm(_Record):
+class PolarForm(_Record, fields=("real_part", "imag_norm", "imag_axis",
+                                "argument")):
     """q = real_part + imag_norm * imag_axis, with argument in [0, pi].
 
     When the imaginary part vanishes there is no distinguished axis:
@@ -375,25 +368,32 @@ class PolarForm(_Record):
     part.  Consumers must branch on imag_norm before touching imag_axis.
     """
 
-    __slots__ = ("real_part", "imag_norm", "imag_axis", "argument")
+    __slots__ = ()
 
     def __new__(cls, real_part, imag_norm, imag_axis, argument):
-        p, (set_real, set_norm, set_axis, set_arg) = _new(cls), cls._setters
-        set_real(p, real_part)
-        set_norm(p, imag_norm)
-        set_axis(p, imag_axis)
-        set_arg(p, argument)
+        p = _new(cls)
+        _set_t(p, (real_part, imag_norm, imag_axis, argument))
         return p
 
 
 def polar(q: Quaternion) -> PolarForm:
-    """Polar decomposition q = q_a + v*vhat with vhat^2 = -1 (when v > 0)."""
+    """Polar decomposition q = q_a + v*vhat with vhat^2 = -1 (when v > 0).
+
+    A subnormal v has lost digits to underflow, and I(q)/v would miss unit
+    length; there the imaginary part is first scaled by the power of two
+    2^-e of its largest component (exact), as Quaternion.inverse does, and
+    divided by the hypot of the scaled parts."""
+    a, b, c, d = q._t
     v = q.imag_norm()
-    theta = math.atan2(v, q.a)
+    theta = math.atan2(v, a)
     if v == 0.0:
-        return PolarForm(q.a, 0.0, None, theta)
-    axis = Quaternion(0.0, q.b / v, q.c / v, q.d / v)
-    return PolarForm(q.a, v, axis, theta)
+        return PolarForm(a, 0.0, None, theta)
+    n = v
+    if v < _NORMAL_MIN:
+        e = math.frexp(max(abs(b), abs(c), abs(d)))[1]
+        b, c, d = (math.ldexp(x, -e) for x in (b, c, d))
+        n = math.hypot(b, c, d)
+    return PolarForm(a, v, Quaternion(0.0, b / n, c / n, d / n), theta)
 
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:

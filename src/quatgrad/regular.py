@@ -42,7 +42,7 @@ import math
 from .errors import DomainError, OutsideAnnulus, PoleError
 from .hr import RealGradient, Side, side_dot
 from .quaternion import (QI, QJ, QK, ZERO, Quaternion, _NORMAL_MIN, _Record,
-                         _check, _new, _raw, power_by_squaring)
+                         _check, _new, _raw, _set_t, power_by_squaring)
 
 
 def symmetric_ratio(qt: Quaternion, n: int) -> float:
@@ -108,7 +108,7 @@ def power_derivative_oracle(q: Quaternion, center: Quaternion, n: int) -> Quater
     return d
 
 
-class PowerSeriesFn(_Record):
+class PowerSeriesFn(_Record, fields=("center", "coeffs", "side", "annulus")):
     """A one-sided power series Sum a_n (q - center)^n on an annulus.
 
     For side LEFT the coefficients multiply the powers from the left
@@ -118,7 +118,7 @@ class PowerSeriesFn(_Record):
     no negative powers is additionally valid at q = center.
     """
 
-    __slots__ = ("center", "coeffs", "side", "annulus")
+    __slots__ = ()
 
     def __new__(cls, center, coeffs, side=Side.LEFT,
                 annulus=(0.0, math.inf)):
@@ -127,12 +127,8 @@ class PowerSeriesFn(_Record):
         lo, hi = annulus
         if not (0.0 <= lo <= hi):
             raise ValueError(f"invalid annulus {annulus}")
-        s, (set_center, set_coeffs, set_side, set_annulus) = \
-            _new(cls), cls._setters
-        set_center(s, center)
-        set_coeffs(s, coeffs)
-        set_side(s, side)
-        set_annulus(s, annulus)
+        s = _new(cls)
+        _set_t(s, (center, coeffs, side, annulus))
         return s
 
     def _check_annulus(self, q: Quaternion) -> Quaternion:
@@ -295,7 +291,8 @@ def _ratio(f: complex, df: complex, v: float) -> float:
     return f.imag / v
 
 
-class Elementary(_Record, compared=("kind", "n", "center")):
+class Elementary(_Record, fields=("kind", "F", "dF", "check", "n", "center"),
+                 compared=("kind", "n", "center")):
     """One of the elementary functions exp, ln, tanh or (q - center)^n.
 
     Each is the complex function F, its derivative F' and a domain check on
@@ -305,17 +302,11 @@ class Elementary(_Record, compared=("kind", "n", "center")):
     value each, built once; equality and repr see kind, n and center.
     """
 
-    __slots__ = ("kind", "F", "dF", "check", "n", "center")
+    __slots__ = ()
 
     def __new__(cls, kind, F, dF, check, n=0, center=ZERO):
-        e, (set_kind, set_F, set_dF, set_check, set_n, set_center) = \
-            _new(cls), cls._setters
-        set_kind(e, kind)
-        set_F(e, F)
-        set_dF(e, dF)
-        set_check(e, check)
-        set_n(e, n)
-        set_center(e, center)
+        e = _new(cls)
+        _set_t(e, (kind, F, dF, check, n, center))
         return e
 
     @staticmethod
@@ -346,15 +337,17 @@ class Elementary(_Record, compared=("kind", "n", "center")):
         qt is q itself for the ZERO center (x - +0.0 is x bit for bit); the
         test is identity, since subtracting a -0.0 center turns -0.0
         components into +0.0."""
-        self.check(q)
-        qt = q if self.center is ZERO else q - self.center
+        _, _, _, check, _, center = self._t
+        check(q)
+        qt = q if center is ZERO else q - center
         a, b, c, d = qt._t
         v = math.hypot(b, c, d)  # qt.imag_norm()
         return qt, v, complex(a, v)
 
     def value(self, q: Quaternion) -> Quaternion:
+        _, F, _, _, _, _ = self._t
         qt, v, z = self._at(q)
-        return _raw(*_axis4(self.F(z), qt, v))
+        return _raw(*_axis4(F(z), qt, v))
 
     def hr_derivative(self, q: Quaternion) -> Quaternion:
         """d1, identical for the left and right operators.
@@ -363,8 +356,9 @@ class Elementary(_Record, compared=("kind", "n", "center")):
         (f'(q) + (g(qt) - g(qt*))(qt - qt*)^-1)/2, whose ratio term is
         Im F(z)/v:  (F'(z) on qt's axis + Im F(z)/v)/2, F'(qt_a) at v = 0.
         """
+        _, F, dF, _, _, _ = self._t
         qt, v, z = self._at(q)
-        w, df = self.F(z), self.dF(z)
+        w, df = F(z), dF(z)
         ratio = _ratio(w, df, v)
         pa, pb, pc, pd = _axis4(df, qt, v)
         _check(pa, pb, pc, pd)  # raises if F'(z) on qt's axis overflows
@@ -395,10 +389,11 @@ class Elementary(_Record, compared=("kind", "n", "center")):
         products and sums in its order, zero terms included, so every bit
         and sign of zero is the same.
         """
+        _, F, dF, _, _, _ = self._t
         qt, v, z = self._at(q)
-        w = self.F(z)
+        w = F(z)
         _check(*_axis4(w, qt, v))  # raises if the value overflows
-        df = self.dF(z)
+        df = dF(z)
         if v == 0.0:
             d = df.real
             return RealGradient(Quaternion(d), QI * d, QJ * d, QK * d)

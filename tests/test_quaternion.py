@@ -208,9 +208,15 @@ def test_polar_known_values():
     assert p.argument == pytest.approx(math.atan(math.sqrt(3)))
 
 
+# v = |I(q)| subnormal: I(q)/v alone gives vhat^2 = -2 at the first
+_SUBNORMAL_IMAG = [Quaternion(0.0, 5e-324, 5e-324, 0.0),
+                   Quaternion(-2.0, 3e-320, -7e-321, 1.5e-318),
+                   Quaternion(1e300, -1e-310, 2e-310, -5e-324),
+                   Quaternion(0.5, 0.0, 0.0, -5e-324)]
+
+
 def test_polar_reconstruction(rng):
-    for _ in range(300):
-        q = rand_quat(rng)
+    for q in [*(rand_quat(rng) for _ in range(300)), *_SUBNORMAL_IMAG]:
         p = polar(q)
         if p.imag_axis is None:
             assert q.imag_norm() == 0.0

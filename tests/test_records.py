@@ -3,8 +3,8 @@
 Quaternion, PolarForm, RealGradient, HRGradient, QJet, PowerSeriesFn and
 Elementary are frozen records: repr, == and hash see a fixed tuple of
 fields, assignment and deletion raise dataclasses.FrozenInstanceError,
-copy, deepcopy and pickle (where no field holds a lambda) rebuild an equal
-value, each constructor takes its fields by position and by keyword, and
+no instance has a __dict__, copy, deepcopy and pickle at every protocol
+(where no field holds a lambda) rebuild an equal value, each constructor takes its fields by position and by keyword, and
 dataclasses.fields, replace and is_dataclass work on them.  These tests
 pin each of those, with the exact repr text, however the classes are
 written.  Each record check lives here, not in the module's own tests.
@@ -120,6 +120,7 @@ def test_repr_eq_and_hash_see_the_compared_fields(value, text, shown, names,
 @pytest.mark.parametrize("value, text, shown, names, pickles", RECORDS,
                          ids=IDS)
 def test_every_attribute_is_frozen(value, text, shown, names, pickles):
+    assert not hasattr(value, "__dict__")  # its class declares __slots__
     for name in names.split():
         with pytest.raises(dataclasses.FrozenInstanceError,
                            match=f"cannot assign to field '{name}'"):
@@ -135,7 +136,7 @@ def test_every_attribute_is_frozen(value, text, shown, names, pickles):
 def test_copy_deepcopy_and_pickle_give_an_equal_record(value, text, shown,
                                                        names, pickles):
     copies = [copy.copy(value), copy.deepcopy(value)]
-    for protocol in (0, pickle.DEFAULT_PROTOCOL):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         if pickles:
             copies.append(pickle.loads(pickle.dumps(value, protocol)))
         else:
